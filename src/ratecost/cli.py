@@ -3,7 +3,8 @@ files and an SVG tradeoff plot out.
 
 Subcommands: bound, simulate, sweep, decompose, validate.  Exit status is 1
 when a hard assert fails (curve dominance, distortion guarantee, failed
-validation), 2 on config errors, 0 otherwise.
+validation, a linear-algebra failure), 2 on config errors (any ValueError),
+0 otherwise; either failure prints one line and no traceback.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .riccati import b_min, solve_control, solve_filter
-from .simloop import (SimConfig, TradeoffPoint, decompose_cost, run, sweep,
-                      tradeoff_point)
+from .simloop import (MIN_SWEEP_POINTS, SimConfig, TradeoffPoint,
+                      decompose_cost, run, sweep, tradeoff_point)
 from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
@@ -477,8 +478,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    if not cfg.d_grid:
-        raise ConfigError("sweep needs a nonempty d_grid")
+    if len(cfg.d_grid) < MIN_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep needs a d_grid of at least {MIN_SWEEP_POINTS} points")
     points = sweep(cfg.plant, cfg.d_grid, horizon=cfg.horizon, seed=cfg.seed,
                    burn_in=cfg.burn_in, mode=cfg.mode)
     ctrl, filt, bmin = _solve(cfg)
@@ -598,7 +600,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         return args.fn(cfg, args)
-    except ConfigError as err:
+    except np.linalg.LinAlgError as err:
+        print(f"linear algebra failure: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:
+        # ConfigError, and plants or parameters the library refuses
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

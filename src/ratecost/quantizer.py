@@ -251,42 +251,6 @@ class DpcmCodec:
         return h.hexdigest()
 
 
-class IndexStream:
-    """Append-only store of emitted lattice indices (one row per step)."""
-
-    def __init__(self, n: int, capacity: int = 1024):
-        self.n = n
-        self._buf = np.empty((max(capacity, 16), n), dtype=np.int64)
-        self._len = 0
-
-    def append(self, index) -> None:
-        if self._len == self._buf.shape[0]:
-            grown = np.empty((2 * self._buf.shape[0], self.n), dtype=np.int64)
-            grown[: self._len] = self._buf
-            self._buf = grown
-        self._buf[self._len] = index
-        self._len += 1
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._buf[: self._len]
-
-    def histogram(self) -> dict[tuple[int, ...], int]:
-        vals, counts = np.unique(self.indices, axis=0, return_counts=True)
-        return {tuple(int(v) for v in row): int(c)
-                for row, c in zip(vals, counts)}
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = ",".join(f"z{j}" for j in range(self.n))
-            fh.write(f"step,{cols}\n")
-            for i, row in enumerate(self.indices):
-                fh.write(f"{i}," + ",".join(str(int(v)) for v in row) + "\n")
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     plug_in: float
@@ -295,14 +259,14 @@ class EntropyEstimate:
     samples: int
 
 
-def empirical_entropy(stream, burn_in: int = 0) -> EntropyEstimate:
+def empirical_entropy(indices, burn_in: int = 0) -> EntropyEstimate:
     """Plug-in entropy (nats) of the post-burn-in index marginal.
 
     This is the entropy of memoryless coding of the indices, an upper
     proxy for the conditional per-step entropy; the Miller-Madow value
     adds the (support-1)/(2N) small-sample correction.
     """
-    data = stream.indices if isinstance(stream, IndexStream) else np.asarray(stream)
+    data = np.asarray(indices)
     if data.ndim == 1:
         data = data.reshape(-1, 1)
     data = data[burn_in:]

@@ -1,36 +1,45 @@
 """Closed-loop Monte-Carlo simulation of quantized certainty-equivalence
 control, with cost decomposition audits and tradeoff-curve sweeps.
 
-The controller applies u = -L A s_hat where s_hat is the DPCM decoder
-state; the codec quantizes innovations under the weight W = A^T M A, so
-the per-step weighted reconstruction error is bounded by the quantizer
-design distortion d on every step.
+The controller applies u = -L A s_hat, where s_hat is the DPCM decoder
+state; the coder quantizes innovations under the weight W = A^T M A.  The
+simulator is one engine built on the separation structure b = c + e + d:
+
+1. A linear pre-pass turns the sampled noise into the coder's driving term
+   xi: the process noise v when the plant is fully observed, otherwise the
+   Kalman innovation jump, driven by an estimation error that follows its
+   own linear recursion.
+2. The only nonlinear sequential step is the whitened coder error,
+   eps_i = wrap(W^{1/2} A W^{-1/2} eps_{i-1} + W^{1/2} xi_i), where wrap
+   subtracts the nearest lattice point.  It does not depend on the control.
+   Before step 0, s_hat = 0 and u = 0, so xi_0 is the first innovation.
+3. Linear passes compute the rest: the closed-loop state (a stable linear
+   filter of v and the total error x - s_hat), the control, the c/e/d
+   terms, the digest and the audits.  The per-step weighted error is
+   recomputed from the emitted indices through ``Lattice.point_of`` and
+   must stay within the design distortion d on every step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import entropy_cost_upper, lower_bound_full, lower_bound_partial
-from .quantizer import (
-    DpcmCodec,
-    EntropyEstimate,
-    empirical_entropy,
-    lattice_for_dimension,
-)
+from .bounds import (entropy_cost_upper, lower_bound_full,
+                     lower_bound_partial, psd_sqrt)
+from .quantizer import EntropyEstimate, empirical_entropy, lattice_for_dimension
 from .riccati import b_min, solve_control, solve_filter
-from .sysmodel import LinearPlant
+from .sysmodel import LinearPlant, numerical_rank
 
 DIVERGENCE_NORM = 1e12
 BATCH_COUNT = 20
 DISTORTION_SLACK = 1e-9
 MIN_DECOMPOSE_WINDOW = 10_000
+MIN_SWEEP_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,9 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in ("fully_observed", "partially_observed"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "fully_observed" and not self.plant.fully_observed:
+            raise ValueError(
+                "mode fully_observed needs C = I and no observation noise")
         if self.horizon <= self.burn_in:
             raise ValueError("horizon must exceed burn_in")
         if self.distortion is not None and self.distortion <= 0:
@@ -69,7 +81,6 @@ class SimResult:
     steps: int
     window: int
     digest: str
-    rng_draws: int
     innovation_jump_cov: np.ndarray | None = None
 
 
@@ -87,241 +98,178 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed))
 
 
-def _loop_scalar_full(a, bm, g, wsq, inv_wsq, t, x0, v_list, quantized, lim):
-    horizon = len(v_list)
-    xs = np.empty(horizon)
-    us = np.empty(horizon)
-    sh = np.empty(horizon)
-    idx = np.zeros(horizon, dtype=np.int64)
-    x = float(x0)
-    s_hat = 0.0
-    u = 0.0
-    for i in range(horizon):
-        pred = a * s_hat + bm * u
-        if quantized:
-            z = round((wsq * (x - pred)) / t)
-            s_hat = pred + (z * t) * inv_wsq
-            idx[i] = z
-        else:
-            s_hat = x
-        u = -g * s_hat
-        xs[i] = x
-        us[i] = u
-        sh[i] = s_hat
-        x = a * x + bm * u + v_list[i]
-        if not -lim < x < lim:
-            return xs, us, sh, None, idx, True, i + 1
-    return xs, us, sh, None, idx, False, horizon
-
-
-def _loop_scalar_partial(a, bm, g, wsq, inv_wsq, t, c, kg, x0, v_list, w_list,
-                         quantized, lim):
-    horizon = len(v_list)
-    xs = np.empty(horizon)
-    us = np.empty(horizon)
-    sh = np.empty(horizon)
-    xe_arr = np.empty(horizon)
-    idx = np.zeros(horizon, dtype=np.int64)
-    x = float(x0)
-    xe = 0.0
-    s_hat = 0.0
-    u = 0.0
-    for i in range(horizon):
-        y = c * x + w_list[i]
-        pred_e = a * xe + bm * u
-        xe = pred_e + kg * (y - c * pred_e)
-        pred = a * s_hat + bm * u
-        if quantized:
-            z = round((wsq * (xe - pred)) / t)
-            s_hat = pred + (z * t) * inv_wsq
-            idx[i] = z
-        else:
-            s_hat = xe
-        u = -g * s_hat
-        xs[i] = x
-        us[i] = u
-        sh[i] = s_hat
-        xe_arr[i] = xe
-        x = a * x + bm * u + v_list[i]
-        if not -lim < x < lim:
-            return xs, us, sh, xe_arr, idx, True, i + 1
-    return xs, us, sh, xe_arr, idx, False, horizon
-
-
-def _loop_generic(plant, gain, codec, kalman_gain, x0, v, wn, quantized, lim):
-    a_mat, b_mat, c_mat = plant.A, plant.B, plant.C
-    n, m = plant.n, plant.m
-    horizon = v.shape[0]
-    partial = wn is not None
-    xs = np.empty((horizon, n))
-    us = np.empty((horizon, m))
-    sh = np.empty((horizon, n))
-    xe_arr = np.empty((horizon, n)) if partial else None
-    idx = np.zeros((horizon, n), dtype=np.int64)
-    x = np.asarray(x0, dtype=float).copy()
-    xe = np.zeros(n)
-    u = np.zeros(m)
-    for i in range(horizon):
-        if partial:
-            y = c_mat @ x + wn[i]
-            pred_e = a_mat @ xe + b_mat @ u
-            xe = pred_e + kalman_gain @ (y - c_mat @ pred_e)
-            target = xe
-        else:
-            target = x
-        if quantized:
-            index, _ = codec.encode_step(target, u_prev=u)
-            idx[i] = index
-            s_hat = codec.s_hat
-        else:
-            s_hat = target.copy()
-        u = -(gain @ s_hat)
-        xs[i] = x
-        us[i] = u
-        sh[i] = s_hat
-        if partial:
-            xe_arr[i] = xe
-        x = a_mat @ x + b_mat @ u + v[i]
-        if not np.linalg.norm(x) < lim:
-            return xs, us, sh, xe_arr, idx, True, i + 1
-    return xs, us, sh, xe_arr, idx, False, horizon
+def _mv(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x @ mat.T`` for one vector or a stack of rows, summed in column
+    order so that a row gives the same bits either way."""
+    acc = x[..., 0, None] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        acc = acc + x[..., j, None] * mat[:, j]
+    return acc
 
 
 def _quad(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", rows, weight, rows)
 
 
-def _diverged_result(step: int, steps: int, window: int, digest: str,
-                     draws: int) -> SimResult:
+def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray,
+                   lim: float = math.inf):
+    """y_{i+1} = F y_i + drive_i from y_0.
+
+    Returns (rows y_0 .. y_{k-1}, diverged), where y_k is the first iterate
+    whose norm reaches ``lim``; k is the horizon when none does.
+    """
+    horizon, n = drive.shape
+    if n == 1:
+        f, y = float(f_mat[0, 0]), float(y0[0])
+        out = array("d")
+        for r in memoryview(np.ascontiguousarray(drive[:, 0])):
+            out.append(y)
+            y = f * y + r
+            if not -lim < y < lim:
+                return np.frombuffer(out)[:, None], True
+        return np.frombuffer(out)[:, None], False
+    out = np.empty((horizon, n))
+    y = np.asarray(y0, dtype=float)
+    for i in range(horizon):
+        out[i] = y
+        y = _mv(f_mat, y) + drive[i]
+        if not np.linalg.norm(y) < lim:
+            return out[: i + 1], True
+    return out, False
+
+
+def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
+    """The coder error recursion eps_i = q_i - Q(q_i), q_i = M eps_{i-1} + h_i.
+
+    Returns the quantizer inputs q and the chosen lattice points, one row
+    per step.  The loop body is chosen by lattice family: plain floats on
+    the integers (the same bits as ``Lattice.nearest``), the lattice's own
+    nearest-point decoder otherwise.
+    """
+    horizon, n = h.shape
+    if lattice.family == "integer_Z":
+        m, t, eps = float(m_mat[0, 0]), lattice.scale, 0.0
+        qs, ps = array("d"), array("d")
+        for hi in memoryview(np.ascontiguousarray(h[:, 0])):
+            q = m * eps + hi
+            p = round(q / t) * t
+            eps = q - p
+            qs.append(q)
+            ps.append(p)
+        return np.frombuffer(qs)[:, None], np.frombuffer(ps)[:, None]
+    qs, ps = np.empty((horizon, n)), np.empty((horizon, n))
+    eps = np.zeros(n)
+    for i in range(horizon):
+        q = _mv(m_mat, eps) + h[i]
+        p = lattice.nearest(q)
+        eps = q - p
+        qs[i] = q
+        ps[i] = p
+    return qs, ps
+
+
+def _whitening(weight: np.ndarray):
+    """(W^{1/2}, W^{-1/2}); the lattice coder needs a nonsingular W."""
+    n, rank = weight.shape[0], numerical_rank(weight)
+    if rank < n:
+        raise ValueError(
+            f"weight W = A^T M A is singular (rank {rank} < n = {n}): "
+            "the lattice coder needs a nonsingular W")
+    w_sqrt = psd_sqrt(weight)
+    return w_sqrt, np.linalg.inv(w_sqrt)
+
+
+def _diverged_result(step: int, window: int, digest: str) -> SimResult:
     nan = math.nan
     return SimResult(b_hat=math.inf, se_b=nan, c_hat=nan, e_hat=nan,
                      d_hat=nan, residual=nan, entropy=None,
                      max_step_distortion=nan, diverged=True,
-                     diverged_step=step, steps=steps, window=window,
-                     digest=digest, rng_draws=draws)
+                     diverged_step=step, steps=step, window=window,
+                     digest=digest)
 
 
-def run(cfg: SimConfig, engine: str = "auto") -> SimResult:
-    """Simulate one closed loop and audit its cost decomposition.
-
-    engine: "auto" picks a plain-float scalar loop when n = m = (k) = 1,
-    "generic"/"scalar" force a path (for cross-checks).
-    """
-    if engine not in ("auto", "scalar", "generic"):
-        raise ValueError(f"unknown engine {engine!r}")
+def run(cfg: SimConfig) -> SimResult:
+    """Simulate one closed loop and audit its cost decomposition."""
     plant = cfg.plant
     partial = cfg.mode == "partially_observed"
     quantized = cfg.distortion is not None
     ctrl = solve_control(plant)
     filt = solve_filter(plant) if partial else None
-
     weight = plant.A.T @ ctrl.M @ plant.A
     gain = ctrl.L @ plant.A
-
-    ss = _seed_sequence(cfg.seed)
-    ss_v, ss_init, ss_w = ss.spawn(3)
-    v = plant.noise_v.sample(np.random.default_rng(ss_v), cfg.horizon)
-    x0 = plant.noise_x1.sample(np.random.default_rng(ss_init), 1)[0]
-    draws = cfg.horizon + 1
-    wn = None
-    if partial:
-        wn = plant.noise_w.sample(np.random.default_rng(ss_w), cfg.horizon)
-        draws += cfg.horizon
-
-    scalar_ok = plant.n == 1 and plant.m == 1 and (not partial or plant.k == 1)
-    if engine == "scalar" and not scalar_ok:
-        raise ValueError("scalar engine requires a scalar plant")
-    use_scalar = scalar_ok and engine != "generic"
-
-    lattice = None
     if quantized:
+        w_sqrt, w_isqrt = _whitening(weight)
         lattice = lattice_for_dimension(plant.n).scale_to_distortion(
             cfg.distortion)
 
-    if use_scalar:
-        wsq = math.sqrt(weight[0, 0])
-        inv_wsq = 1.0 / wsq
-        t = lattice.scale if quantized else 1.0
-        a_s, b_s, g_s = plant.A[0, 0], plant.B[0, 0], gain[0, 0]
-        v_list = v[:, 0].tolist()
-        if partial:
-            xs, us, sh, xe_arr, idx, diverged, steps = _loop_scalar_partial(
-                a_s, b_s, g_s, wsq, inv_wsq, t, plant.C[0, 0], filt.K[0, 0],
-                x0[0], v_list, wn[:, 0].tolist(), quantized, DIVERGENCE_NORM)
-        else:
-            xs, us, sh, xe_arr, idx, diverged, steps = _loop_scalar_full(
-                a_s, b_s, g_s, wsq, inv_wsq, t, x0[0], v_list, quantized,
-                DIVERGENCE_NORM)
-        xs = xs[:steps, None]
-        us = us[:steps, None]
-        sh = sh[:steps, None]
-        xe_arr = None if xe_arr is None else xe_arr[:steps, None]
-        idx = idx[:steps, None]
-    else:
-        codec = None
-        if quantized:
-            codec = DpcmCodec(lattice, weight, plant.A, b_mat=plant.B)
-        xs, us, sh, xe_arr, idx, diverged, steps = _loop_generic(
-            plant, gain, codec, None if filt is None else filt.K,
-            x0, v, wn, quantized, DIVERGENCE_NORM)
-        xs = xs[:steps]
-        us = us[:steps]
-        sh = sh[:steps]
-        xe_arr = None if xe_arr is None else xe_arr[:steps]
-        idx = idx[:steps]
+    ss_v, ss_init, ss_w = _seed_sequence(cfg.seed).spawn(3)
+    v = plant.noise_v.sample(np.random.default_rng(ss_v), cfg.horizon)
+    x0 = plant.noise_x1.sample(np.random.default_rng(ss_init), 1)[0]
 
-    digest = hashlib.sha256(
-        np.ascontiguousarray(xs).tobytes()
-        + np.ascontiguousarray(idx).tobytes()).hexdigest()
+    # 1. driving term xi and estimation error eta = x - x_est
+    if partial:
+        wn = plant.noise_w.sample(np.random.default_rng(ss_w), cfg.horizon)
+        k_mat = filt.K
+        ak = plant.A @ k_mat
+        # a_i = x_i - (predicted estimate): a_{i+1} = A (a_i - xi_i) + v_i
+        pred_err, _ = _linear_filter(plant.A - ak @ plant.C,
+                                     v - _mv(ak, wn), x0)
+        xi = _mv(k_mat, _mv(plant.C, pred_err) + wn)
+        eta = pred_err - xi
+        gap = eta
+    else:
+        xi = np.concatenate([x0[None], v[:-1]])
+        gap = np.zeros_like(v)
+
+    # 2. the sequential coder error recursion; gap = x - s_hat
+    if quantized:
+        m_mat = w_sqrt @ plant.A @ w_isqrt
+        q_in, points = _wrap(lattice, m_mat, _mv(w_sqrt, xi))
+        gap = gap + _mv(w_isqrt, q_in - points)
+
+    # 3. linear passes: state, control, audits, cost terms
+    bg = plant.B @ gain
+    xs, diverged = _linear_filter(plant.A - bg, _mv(bg, gap) + v, x0,
+                                  DIVERGENCE_NORM)
+    steps = xs.shape[0]
+    us = -_mv(gain, xs - gap[:steps])
+    if quantized:
+        idx = lattice.index_of(points[:steps])
+    else:
+        idx = np.zeros((steps, plant.n), dtype=np.int64)
+    digest = hashlib.sha256(xs.tobytes() + idx.tobytes()).hexdigest()
     window = max(steps - cfg.burn_in, 0)
     if diverged:
-        return _diverged_result(steps, steps, window, digest, draws)
+        return _diverged_result(steps, window, digest)
 
-    enc_target = xs if xe_arr is None else xe_arr
-    quant_err = _quad(enc_target - sh, weight)
-    max_dist = float(np.max(quant_err)) if quantized else 0.0
-    if quantized and max_dist > cfg.distortion + DISTORTION_SLACK:
-        raise RuntimeError(
-            f"distortion guarantee violated: {max_dist} > {cfg.distortion}")
+    max_dist = 0.0
+    if quantized:
+        # weighted error (x - s_hat)^T W (x - s_hat) in whitened coordinates,
+        # against the decoder's reconstruction of the emitted indices
+        quant_err = np.sum((q_in - lattice.point_of(idx)) ** 2, axis=1)
+        max_dist = float(np.max(quant_err))
+        if max_dist > cfg.distortion + DISTORTION_SLACK:
+            raise RuntimeError(
+                f"distortion guarantee violated: {max_dist} > {cfg.distortion}")
 
     sl = slice(cfg.burn_in, steps)
     cost = _quad(xs[sl], plant.Q) + _quad(us[sl], plant.R)
     b_hat = float(cost.mean())
-    se_b = _batch_se(cost)
     c_hat = float(_quad(v[sl], ctrl.S).mean())
-    e_hat = 0.0 if xe_arr is None else float(_quad((xs - xe_arr)[sl],
-                                                   weight).mean())
+    e_hat = float(_quad(eta[sl], weight).mean()) if partial else 0.0
     d_hat = float(quant_err[sl].mean()) if quantized else 0.0
-    residual = b_hat - (c_hat + e_hat + d_hat)
-
-    entropy = None
-    if quantized:
-        entropy = empirical_entropy(idx, burn_in=cfg.burn_in)
-
+    entropy = empirical_entropy(idx, burn_in=cfg.burn_in) if quantized else None
     jump_cov = None
-    if xe_arr is not None and window > 1:
-        pred_e = xe_arr[:-1] @ plant.A.T + us[:-1] @ plant.B.T
-        jumps = (xe_arr[1:] - pred_e)[cfg.burn_in:]
+    if partial and window > 1:
+        jumps = xi[sl]
         jump_cov = jumps.T @ jumps / jumps.shape[0]
 
-    return SimResult(b_hat=b_hat, se_b=se_b, c_hat=c_hat, e_hat=e_hat,
-                     d_hat=d_hat, residual=residual, entropy=entropy,
-                     max_step_distortion=max_dist, diverged=False,
-                     diverged_step=None, steps=steps, window=window,
-                     digest=digest, rng_draws=draws,
-                     innovation_jump_cov=jump_cov)
-
-
-def run_fully_observed(cfg: SimConfig, engine: str = "auto") -> SimResult:
-    if cfg.mode != "fully_observed":
-        raise ValueError("config mode is not fully_observed")
-    return run(cfg, engine=engine)
-
-
-def run_partially_observed(cfg: SimConfig, engine: str = "auto") -> SimResult:
-    if cfg.mode != "partially_observed":
-        raise ValueError("config mode is not partially_observed")
-    return run(cfg, engine=engine)
+    return SimResult(b_hat=b_hat, se_b=_batch_se(cost), c_hat=c_hat,
+                     e_hat=e_hat, d_hat=d_hat,
+                     residual=b_hat - (c_hat + e_hat + d_hat),
+                     entropy=entropy, max_step_distortion=max_dist,
+                     diverged=False, diverged_step=None, steps=steps,
+                     window=window, digest=digest, innovation_jump_cov=jump_cov)
 
 
 def decompose_cost(result: SimResult):
@@ -347,44 +295,30 @@ class TradeoffPoint:
     diverged: bool
 
 
-def _sweep_worker(packed):
-    plant, d, horizon, seed, index, burn_in, mode = packed
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
-    cfg = SimConfig(plant=plant, horizon=horizon, distortion=d,
-                    seed=ss, burn_in=burn_in, mode=mode)
-    return run(cfg)
-
-
 def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
-          burn_in: int = 1000, mode: str = "fully_observed",
-          max_workers: int | None = None) -> list[TradeoffPoint]:
+          burn_in: int = 1000,
+          mode: str = "fully_observed") -> list[TradeoffPoint]:
     """Run one simulation per distortion and pair each empirical point
     with the matching converse and achievability bounds at the measured
     cost.  Points are returned sorted by b_hat, diverged runs last.
 
-    Seeds derive from (seed, grid index), so results do not depend on the
-    worker count (RATECOST_THREADS or max_workers).
+    Point i draws its noise from SeedSequence(seed, spawn_key=(i,)).
     """
     d_grid = [float(d) for d in d_grid]
-    if len(d_grid) < 8:
-        raise ValueError("need at least 8 distortion grid points")
+    if len(d_grid) < MIN_SWEEP_POINTS:
+        raise ValueError(
+            f"need at least {MIN_SWEEP_POINTS} distortion grid points")
     partial = mode == "partially_observed"
     ctrl = solve_control(plant)
     filt = solve_filter(plant) if partial else None
     bmin = b_min(plant, ctrl, filt)
 
-    if max_workers is None:
-        max_workers = int(os.environ.get("RATECOST_THREADS", "1"))
-    packed = [(plant, d, horizon, seed, i, burn_in, mode)
-              for i, d in enumerate(d_grid)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_worker, packed))
-    else:
-        results = [_sweep_worker(p) for p in packed]
-
-    points = [tradeoff_point(plant, ctrl, filt, bmin, d, res)
-              for d, res in zip(d_grid, results)]
+    points = []
+    for i, d in enumerate(d_grid):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
+        res = run(SimConfig(plant=plant, horizon=horizon, distortion=d,
+                            seed=ss, burn_in=burn_in, mode=mode))
+        points.append(tradeoff_point(plant, ctrl, filt, bmin, d, res))
     points.sort(key=lambda p: (p.diverged, p.b_hat))
     return points
 

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from sim_oracle import oracle_digest
 
 from ratecost.bounds import (
     causal_slb,
@@ -243,10 +244,10 @@ def test_quantizer_guarantees(capsys, full_quant_1m):
 
     rerun = run(cfg)
     checks.append(("determinism digests equal", rerun.digest == res.digest))
+    # the engine against the per-step closed-loop oracle, bit for bit
     cfg_s = SimConfig(plant_full(), 100_000, 1.0, seed=11)
     checks.append(("engine cross-check digests equal",
-                   run(cfg_s, engine="scalar").digest
-                   == run(cfg_s, engine="generic").digest))
+                   run(cfg_s).digest == oracle_digest(cfg_s)))
     _finish(capsys, "quantizer_guarantees", checks)
 
 

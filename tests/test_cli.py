@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ratecost
+from ratecost import cli
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
 
@@ -205,6 +212,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path]) == 2
         assert "d_grid" in capsys.readouterr().err
 
+    def test_short_grid_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, d_grid=self.GRID[:5])
+        assert main(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "d_grid of at least 8 points" in err
+        assert "Traceback" not in err
+
 
 class TestDecomposeCommand:
     def test_prints_analytic_references(self, tmp_path, capsys):
@@ -247,3 +261,61 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+# Both plants pass validate, but their coder weight W = A^T M A is singular.
+SINGULAR_W_PLANTS = {
+    "fewer_inputs": {"a": [[1.2, 0.3], [0.0, 0.8]], "b": [[1.0], [0.5]],
+                     "r": [[1.0]]},
+    "singular_a": {"a": [[2.0, 0.0], [0.0, 0.0]],
+                   "b": [[1.0, 0.0], [0.0, 1.0]],
+                   "r": [[1.0, 0.0], [0.0, 1.0]]},
+}
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("name", sorted(SINGULAR_W_PLANTS))
+    def test_singular_weight_plant(self, tmp_path, capsys, name):
+        raw = base_config(distortion=1.0, d_grid=TestSweepCommand.GRID)
+        raw["plant"].update(SINGULAR_W_PLANTS[name])
+        raw["plant"]["q"] = [[1.0, 0.0], [0.0, 1.0]]
+        raw["plant"]["noise_v"]["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for command in ("simulate", "sweep", "decompose"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "W = A^T M A is singular" in err
+            assert len(err.strip().splitlines()) == 1
+        # the unquantized loop needs no coder and still runs
+        del raw["distortion"]
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (ValueError("bad parameter"), 2, "config error: bad parameter"),
+        (np.linalg.LinAlgError("Singular matrix"), 1,
+         "linear algebra failure: Singular matrix"),
+    ], ids=["value_error", "linalg_error"])
+    def test_escaping_errors_get_exit_codes(self, tmp_path, capsys,
+                                            monkeypatch, exc, code, prefix):
+        def failing_run(_cfg):
+            raise exc
+        monkeypatch.setattr(cli, "run", failing_run)
+        path = write_config(tmp_path, distortion=1.0)
+        assert main(["simulate", "--config", path]) == code
+        assert capsys.readouterr().err == prefix + "\n"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal would add about a second and 45 MB to every command's
+    # start-up.  (concurrent.futures cannot be checked the same way:
+    # numpy.testing, which scipy.linalg pulls in, imports it.)
+    code = "import sys, ratecost.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ratecost.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -6,7 +6,6 @@ import pytest
 from ratecost.bounds import rho_covering
 from ratecost.quantizer import (
     DpcmCodec,
-    IndexStream,
     a_star_lattice,
     empirical_entropy,
     integer_lattice,
@@ -187,27 +186,6 @@ class TestDpcmCodec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             DpcmCodec(integer_lattice(), np.eye(2), np.eye(2))
-
-
-class TestIndexStream:
-    def test_histogram_totals(self):
-        stream = IndexStream(1)
-        rng = np.random.default_rng(5)
-        for _ in range(500):
-            stream.append(rng.integers(-3, 4, size=1))
-        hist = stream.histogram()
-        assert sum(hist.values()) == len(stream) == 500
-
-    def test_csv_round_trip(self, tmp_path):
-        stream = IndexStream(2)
-        stream.append(np.array([1, -2]))
-        stream.append(np.array([0, 3]))
-        path = tmp_path / "stream.csv"
-        stream.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,z0,z1"
-        assert lines[1] == "0,1,-2"
-        assert lines[2] == "1,0,3"
 
 
 class TestEmpiricalEntropy:
