@@ -45,20 +45,6 @@ def bits_to_nats(x: float) -> float:
     return x / LOG2_E
 
 
-@dataclass(frozen=True)
-class BoundPoint:
-    """One evaluated bound: rate in nats at LQR cost b."""
-
-    b: float
-    nats: float
-    kind: str
-    feasible: bool = True
-
-    @property
-    def bits(self) -> float:
-        return nats_to_bits(self.nats)
-
-
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix."""
     lam, vec = np.linalg.eigh((mat + mat.T) / 2.0)
@@ -223,15 +209,13 @@ def make_projection(
     plant: LinearPlant,
     control: ControlRiccati,
     ell: int | None = None,
-    j=None,
     lam=None,
 ) -> ProjectionSpec:
     """Build a ProjectionSpec for the ell largest-|eig| modes of plant.A.
 
-    With j=None an orthogonal basis comes from a real Schur decomposition
-    sorted by eigenvalue magnitude; ell must not split a complex pair.  A
-    caller-supplied j must block-triangularize A with the retained modes
-    leading.  lam defaults to the uniform floor min-eig(J^T M J).
+    The orthogonal basis J comes from a real Schur decomposition sorted by
+    eigenvalue magnitude; ell must not split a complex pair.  lam defaults
+    to the uniform floor min-eig(J^T M J).
     """
     a = plant.A
     n = plant.n
@@ -243,23 +227,18 @@ def make_projection(
         return ProjectionSpec(j=np.eye(n), j_inv=np.eye(n), ell=0,
                               lam=np.zeros(n), a_prime=0.0, mu_prime=0.0)
 
-    if j is None:
-        mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-        if ell == n:
-            j_mat, a_prime_mat = _ordered_basis(a, cut_sq=-1.0)
-        else:
-            if mags[ell - 1] - mags[ell] < 1e-12:
-                raise ValueError(
-                    f"cannot separate modes: |eig| {mags[ell - 1]:.6g} vs "
-                    f"{mags[ell]:.6g} at ell={ell}"
-                )
-            cut_sq = 0.5 * (mags[ell - 1] ** 2 + mags[ell] ** 2)
-            j_mat, a_prime_mat = _ordered_basis(a, cut_sq=cut_sq, want=ell)
-        j_inv = j_mat.T  # orthogonal
+    mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
+    if ell == n:
+        j_mat, a_prime_mat = _ordered_basis(a, cut_sq=-1.0)
     else:
-        j_mat = np.asarray(j, dtype=float)
-        j_inv = np.linalg.inv(j_mat)
-        a_prime_mat = j_inv @ a @ j_mat
+        if mags[ell - 1] - mags[ell] < 1e-12:
+            raise ValueError(
+                f"cannot separate modes: |eig| {mags[ell - 1]:.6g} vs "
+                f"{mags[ell]:.6g} at ell={ell}"
+            )
+        cut_sq = 0.5 * (mags[ell - 1] ** 2 + mags[ell] ** 2)
+        j_mat, a_prime_mat = _ordered_basis(a, cut_sq=cut_sq, want=ell)
+    j_inv = j_mat.T  # orthogonal
 
     if not np.allclose(a_prime_mat[:ell, ell:], 0.0, atol=1e-9):
         raise ValueError("basis does not isolate the retained modes "
@@ -449,14 +428,14 @@ def rho_covering(n: int) -> float:
     )
 
 
-def rogers_rho_bound(n: int, c: float = 2.0) -> float:
+def rogers_rho_bound(n: int) -> float:
     """Reference upper bound on n log rho for the best covering lattice:
-    (1/2) log(2 pi e) (log n + log log n + c), nats.  Never used to build
-    lattices; c is a configuration constant.
+    (1/2) log(2 pi e) (log n + log log n + 2), nats.  Never used to build
+    lattices.
     """
     if n < 3:
         raise ValueError("the covering reference bound needs n >= 3")
-    return 0.5 * math.log(TWO_PI_E) * (math.log(n) + math.log(math.log(n)) + c)
+    return 0.5 * math.log(TWO_PI_E) * (math.log(n) + math.log(math.log(n)) + 2.0)
 
 
 def lattice_entropy_upper(entropy_power: float, variance: float,

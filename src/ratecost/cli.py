@@ -53,7 +53,6 @@ class ExperimentConfig:
     burn_in: int
     seed: int
     i_max: int
-    rogers_c: float
 
     @property
     def partial(self) -> bool:
@@ -61,12 +60,15 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = {"plant", "mode", "bounds", "b_grid", "d_grid", "distortion",
-               "horizon", "burn_in", "seed", "i_max", "rogers_c"}
+               "horizon", "burn_in", "seed", "i_max"}
 _PLANT_KEYS = {"a", "b", "q", "r", "c", "noise_v", "noise_w", "noise_x1"}
 
 
 def _matrix(raw, name: str) -> list[list[float]]:
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except TypeError as err:
+        raise ConfigError(f"plant.{name} has the wrong type: {err}") from err
     if arr.ndim != 2:
         raise ConfigError(f"plant.{name} must be a nested (row-major) array")
     return arr.tolist()
@@ -86,10 +88,18 @@ def _noise(raw, name: str) -> NoiseModel:
         raise ConfigError(f"{name}: {err}") from err
 
 
-def _grid(raw, name: str) -> tuple[float, ...]:
-    if raw is None:
-        return ()
-    vals = tuple(float(v) for v in raw)
+def _read(raw: dict, key: str, convert, default=None):
+    """raw[key] (or default) passed through convert; a value of the wrong
+    type is a ConfigError, not a TypeError."""
+    value = raw.get(key, default)
+    try:
+        return convert(value)
+    except TypeError as err:
+        raise ConfigError(f"{key} has the wrong type: {err}") from err
+
+
+def _grid(raw: dict, name: str) -> tuple[float, ...]:
+    vals = _read(raw, name, lambda v: () if v is None else tuple(float(x) for x in v))
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{name} must be strictly increasing")
     return vals
@@ -139,35 +149,32 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("mode fully_observed needs C = I and no observation noise")
 
     default_kind = "partial" if mode == "partially_observed" else "full"
-    kinds = tuple(raw.get("bounds", (default_kind, "upper")))
+    kinds = _read(raw, "bounds", tuple, (default_kind, "upper"))
     for kind in kinds:
         if kind not in BOUND_KINDS:
             raise ConfigError(f"unknown bound kind {kind!r}; choose from {BOUND_KINDS}")
 
-    b_grid = _grid(raw.get("b_grid"), "b_grid")
-    d_grid = _grid(raw.get("d_grid"), "d_grid")
-    distortion = raw.get("distortion")
-    if distortion is not None:
-        distortion = float(distortion)
-        if distortion <= 0:
-            raise ConfigError("distortion must be positive")
+    b_grid = _grid(raw, "b_grid")
+    d_grid = _grid(raw, "d_grid")
+    distortion = _read(raw, "distortion", lambda v: None if v is None else float(v))
+    if distortion is not None and distortion <= 0:
+        raise ConfigError("distortion must be positive")
     if not kinds and not b_grid and not d_grid and distortion is None:
         raise ConfigError("config requests neither bounds nor a simulation")
 
-    horizon = int(raw.get("horizon", DEFAULT_HORIZON))
-    burn_in = int(raw.get("burn_in", 1000))
+    horizon = _read(raw, "horizon", int, DEFAULT_HORIZON)
+    burn_in = _read(raw, "burn_in", int, 1000)
     if horizon <= burn_in:
         raise ConfigError("horizon must exceed burn_in")
-    seed = int(raw.get("seed", 0))
-    i_max = int(raw.get("i_max", bnd.DEFAULT_I_MAX))
+    seed = _read(raw, "seed", int, 0)
+    i_max = _read(raw, "i_max", int, bnd.DEFAULT_I_MAX)
     if i_max < 1:
         raise ConfigError("i_max must be at least 1")
-    rogers_c = float(raw.get("rogers_c", 2.0))
 
     return ExperimentConfig(
         plant=plant, mode=mode, bounds=kinds, b_grid=b_grid, d_grid=d_grid,
         distortion=distortion, horizon=horizon, burn_in=burn_in, seed=seed,
-        i_max=i_max, rogers_c=rogers_c)
+        i_max=i_max)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -457,11 +464,12 @@ def _single_run(cfg: ExperimentConfig):
     res = run(sim)
     ctrl, filt, bmin = _solve(cfg)
     d = cfg.distortion if cfg.distortion is not None else math.nan
-    return res, tradeoff_point(cfg.plant, ctrl, filt, bmin, d, res), bmin
+    point = tradeoff_point(cfg.plant, ctrl, filt, bmin, d, res)
+    return res, point, ctrl, filt, bmin
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    res, point, bmin = _single_run(cfg)
+    res, point, _, _, bmin = _single_run(cfg)
     row = point_row(point)
     _print_table(["field", "value"],
                  [[col, _fmt(row[col])] for col in CSV_COLUMNS]
@@ -512,12 +520,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_decompose(cfg: ExperimentConfig, args) -> int:
-    res, point, bmin = _single_run(cfg)
+    res, point, ctrl, filt, bmin = _single_run(cfg)
     try:
         c_hat, e_hat, d_hat, residual = decompose_cost(res)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    ctrl, filt, _ = _solve(cfg)
     c_ref = float(np.trace(cfg.plant.noise_v.covariance @ ctrl.S))
     w_mat = cfg.plant.A.T @ ctrl.M @ cfg.plant.A
     e_ref = (float(np.trace(filt.Sigma @ w_mat)) if filt is not None else 0.0)
@@ -557,8 +564,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     rows.append(["unstable_floor_nats", _fmt(bnd.unstable_floor(cfg.plant.A))])
     n = cfg.plant.n
     if n >= 3:
-        rows.append([f"rogers_reference(c={cfg.rogers_c:g})",
-                     _fmt(bnd.rogers_rho_bound(n, cfg.rogers_c))])
+        rows.append(["rogers_reference(c=2)", _fmt(bnd.rogers_rho_bound(n))])
     _print_table(["check", "value"], rows)
     for msg in report.messages:
         print(f"problem: {msg}", file=sys.stderr)

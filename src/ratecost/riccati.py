@@ -1,10 +1,13 @@
 """Steady-state Riccati solvers for the LQG pieces of the rate-cost bounds.
 
-Both solvers run plain value iteration to a Frobenius-norm fixed-point
-tolerance.  Value iteration is slower than a Schur/invariant-subspace solver
-but it is the direct transcription of the finite-horizon recursions whose
-limits define every quantity used by the bounds, which makes the iterates
-easy to audit.
+Both solvers run one plain value iteration, ``_value_iterate``: the filter
+Riccati equation is the control equation on the dual plant
+(A^T, C^T, Sigma_V, Sigma_W).  The iteration stops when the Frobenius change
+of the iterate drops below max(ABS_TOL, REL_TOL * ||X||_F), so the rule does
+not depend on the scale of the plant's costs or noise.  Value iteration is
+slower than a Schur/invariant-subspace solver but it is the direct
+transcription of the finite-horizon recursions whose limits define every
+quantity used by the bounds, which makes the iterates easy to audit.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ import numpy as np
 
 from .sysmodel import LinearPlant
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
+# REL_TOL takes over from ABS_TOL above ||X||_F = 100, where the rounding
+# noise of an iterate can exceed the absolute floor for ever.
+ABS_TOL = 1e-12
+REL_TOL = 1e-14
+MAX_ITER = 100_000
 
 
 class RiccatiError(RuntimeError):
@@ -75,28 +81,34 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def solve_control(
-    plant: LinearPlant,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ControlRiccati:
+def _value_iterate(
+    a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x0: np.ndarray,
+) -> tuple[np.ndarray, int, bool]:
+    """Value-iterate X <- Q + A^T (X - M(X)) A from X = x0 to a fixed point.
+
+    M(X) = X B (R + B^T X B)^{-1} B^T X.  Returns the last iterate, the
+    iteration count and whether the pseudo-inverse fallback was needed.
+    """
+    x = x0.copy()
+    used_pinv = False
+    for it in range(1, MAX_ITER + 1):
+        bx = b.T @ x
+        gain_cost = r + bx @ b
+        l_gain, pinv = _solve_psd(gain_cost, bx)
+        used_pinv = used_pinv or pinv
+        m = _sym(bx.T @ l_gain)
+        x_next = _sym(q + a.T @ (x - m) @ a)
+        delta = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if delta < max(ABS_TOL, REL_TOL * float(np.linalg.norm(x))):
+            return x, it, used_pinv
+    raise RiccatiError(f"Riccati value iteration did not converge in {MAX_ITER} iterations")
+
+
+def solve_control(plant: LinearPlant) -> ControlRiccati:
     """Value-iterate S <- Q + A^T (S - M(S)) A from S = Q."""
     a, b, q, r = plant.A, plant.B, plant.Q, plant.R
-    s = q.copy()
-    used_pinv = False
-    for it in range(1, max_iter + 1):
-        bs = b.T @ s
-        gain_cost = r + bs @ b
-        l_gain, pinv = _solve_psd(gain_cost, bs)
-        used_pinv = used_pinv or pinv
-        m = _sym(bs.T @ l_gain)
-        s_next = _sym(q + a.T @ (s - m) @ a)
-        delta = float(np.linalg.norm(s_next - s))
-        s = s_next
-        if delta < tol:
-            break
-    else:
-        raise RiccatiError(f"control Riccati did not converge in {max_iter} iterations")
+    s, it, used_pinv = _value_iterate(a, b, q, r, q)
 
     bs = b.T @ s
     gain_cost = r + bs @ b
@@ -115,15 +127,12 @@ def solve_control(
     )
 
 
-def solve_filter(
-    plant: LinearPlant,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FilterRiccati:
+def solve_filter(plant: LinearPlant) -> FilterRiccati:
     """Value-iterate P <- A (I - K C) P A^T + Sigma_V from P = Sigma_X1.
 
-    Requires gaussian process/observation noise; the filter is only the
-    conditional-mean estimator in that case.
+    This is the control recursion on the dual plant (A^T, C^T, Sigma_V,
+    Sigma_W).  Requires gaussian process/observation noise; the filter is
+    only the conditional-mean estimator in that case.
     """
     if plant.fully_observed:
         raise RiccatiError("filter Riccati applies to partially observed plants only")
@@ -132,21 +141,8 @@ def solve_filter(
     a, c = plant.A, plant.C
     sigma_v = plant.noise_v.covariance
     sigma_w = plant.obs_cov
-
-    p = plant.noise_x1.covariance.copy()
-    used_pinv = False
-    for it in range(1, max_iter + 1):
-        innov = _sym(c @ p @ c.T + sigma_w)
-        k_gain_t, pinv = _solve_psd(innov, c @ p)
-        used_pinv = used_pinv or pinv
-        k = k_gain_t.T
-        p_next = _sym(a @ (p - k @ c @ p) @ a.T + sigma_v)
-        delta = float(np.linalg.norm(p_next - p))
-        p = p_next
-        if delta < tol:
-            break
-    else:
-        raise RiccatiError(f"filter Riccati did not converge in {max_iter} iterations")
+    p, it, used_pinv = _value_iterate(a.T, c.T, sigma_v, sigma_w,
+                                      plant.noise_x1.covariance)
 
     innov = _sym(c @ p @ c.T + sigma_w)
     k_gain_t, pinv = _solve_psd(innov, c @ p)

@@ -13,6 +13,7 @@ import pytest
 
 import ratecost
 from ratecost import cli
+from ratecost.riccati import solve_control
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
 
@@ -146,6 +147,18 @@ class TestBoundCommand:
         assert main(["bound", "--config", path]) == 2
         assert "b_grid" in capsys.readouterr().err
 
+    def test_large_cost_plant(self, tmp_path, capsys, large_cost_plant):
+        plant = large_cost_plant
+        raw = {"plant": {"a": plant.A.tolist(), "b": plant.B.tolist(),
+                         "q": plant.Q.tolist(), "r": plant.R.tolist(),
+                         "noise_v": {"family": "gaussian",
+                                     "covariance": np.eye(6).tolist()}},
+               "bounds": ["full", "lowrank"], "b_grid": [1e5]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["bound", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("b_min = 28667.64")
+
 
 class TestSimulateCommand:
     def test_csv_header_exact(self, tmp_path):
@@ -221,9 +234,15 @@ class TestSweepCommand:
 
 
 class TestDecomposeCommand:
-    def test_prints_analytic_references(self, tmp_path, capsys):
+    def test_prints_analytic_references(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "solve_control",
+                            lambda plant: calls.append(plant) or solve_control(plant))
         path = write_config(tmp_path, distortion=2.0, horizon=12_000)
         assert main(["decompose", "--config", path]) == 0
+        # run() solves its own pair; the command solves one more, for the
+        # tradeoff point and the c/e references alike
+        assert len(calls) == 1
         out = capsys.readouterr().out
         assert "tr(Cov_V S) = 4.2360680" in out
         assert "residual" in out
@@ -261,6 +280,17 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_grid", 5), ("horizon", None), ("bounds", 5), ("seed", [1]),
+    ])
+    def test_wrong_value_type_is_config_error(self, tmp_path, capsys,
+                                              key, value):
+        path = write_config(tmp_path, **{key: value})
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} has the wrong type")
+        assert len(err.strip().splitlines()) == 1
 
 
 # Both plants pass validate, but their coder weight W = A^T M A is singular.

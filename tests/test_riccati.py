@@ -3,6 +3,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_are
 
 from ratecost.riccati import RiccatiError, b_min, solve_control, solve_filter
 from ratecost.sysmodel import LinearPlant, NoiseModel
@@ -147,3 +150,57 @@ class TestBmin:
         plant = scalar_partial()
         ctrl = solve_control(plant)
         assert b_min(plant, ctrl, solve_filter(plant)) > b_min(plant, ctrl)
+
+
+def _spd(rng, n, scale):
+    f = rng.standard_normal((n, n))
+    return scale * (f @ f.T / n + 0.1 * np.eye(n))
+
+
+@st.composite
+def random_plants(draw):
+    """Generic random plant, n <= 6, m <= n, with weights and noise at one
+    scale drawn from {1, 1e3, 1e6}; partially observed on half the draws.
+    R and Sigma_W are zero on some draws (pseudo-inverse path)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    a = rng.standard_normal((n, n))
+    a *= draw(st.floats(0.3, 1.5)) / max(np.abs(np.linalg.eigvals(a)).max(), 1e-3)
+    b = rng.standard_normal((n, m))
+    r = np.zeros((m, m)) if draw(st.booleans()) and m == n else _spd(rng, m, scale)
+    c = cov_w = None
+    if draw(st.booleans()):
+        p = draw(st.integers(1, n))
+        c = rng.standard_normal((p, n))
+        cov_w = np.zeros((p, p)) if draw(st.booleans()) and p == n else _spd(rng, p, scale)
+    return gaussian_plant(a, b, _spd(rng, n, scale), r, _spd(rng, n, scale),
+                          c=c, cov_w=cov_w)
+
+
+def assert_matches_dare(x, a, b, q, r):
+    """x solves the DARE for (a, b, q, r), by scipy as the oracle."""
+    if np.linalg.matrix_rank(r) < r.shape[0]:
+        return
+    ref = solve_discrete_are(a, b, q, r)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+class TestScaleInvariance:
+    @given(random_plants())
+    def test_converges_at_any_scale(self, plant):
+        ctrl = solve_control(plant)
+        assert ctrl.residual <= 1e-9 * np.linalg.norm(ctrl.S)
+        assert_matches_dare(ctrl.S, plant.A, plant.B, plant.Q, plant.R)
+        if not plant.fully_observed:
+            filt = solve_filter(plant)
+            assert filt.residual <= 1e-9 * np.linalg.norm(filt.P)
+            assert_matches_dare(filt.P, plant.A.T, plant.C.T,
+                                plant.noise_v.covariance, plant.obs_cov)
+
+    def test_large_cost_plant_converges(self, large_cost_plant):
+        plant = large_cost_plant
+        sol = solve_control(plant)
+        assert sol.residual <= 1e-9 * np.linalg.norm(sol.S)
+        assert_matches_dare(sol.S, plant.A, plant.B, plant.Q, plant.R)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from sim_oracle import oracle_digest
@@ -238,12 +238,7 @@ def _plant(a, b):
                        NoiseModel("gaussian", np.eye(n)))
 
 
-PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
-                             suppress_health_check=[HealthCheck.too_slow])
-
-
 class TestEngineProperties:
-    @PROPERTY_SETTINGS
     @given(square_plants(), st.floats(0.05, 20.0), st.integers(0, 2**32 - 1))
     def test_replay_and_distortion_bound(self, ab, d, seed):
         cfg = SimConfig(_plant(*ab), 1_200, d, seed=seed, burn_in=100)
@@ -252,7 +247,6 @@ class TestEngineProperties:
         assert run(cfg).digest == first.digest
         assert first.max_step_distortion <= d + 1e-9
 
-    @PROPERTY_SETTINGS
     @given(square_plants(), st.data())
     def test_singular_weight_rejected(self, ab, data):
         a, b = ab
