@@ -6,13 +6,20 @@ is the output entropy of a lattice-quantized predictive coder at the same
 cost.  All rates are nats internally; bits appear only through the explicit
 conversion helpers.
 
+Each bound has one body over the noise z that drives the coded process
+s_{i+1} = A s_i + K z_i (``_source``): the process noise v (K = I) for a
+fully observed plant; for a partially observed one the Kalman innovation
+(gaussian, K the filter gain, K z of covariance N), whose b_min gains the
+estimation term tr(Sigma A^T M A).  The partial_ kinds are the other kinds
+evaluated on the innovation.
+
 Bound kinds
-  full               fully observed, full-rank control weight
-  projected          fully observed, projected onto the ell dominant modes
-  lowrank            fully observed, rank-deficient control weight (m < n)
-  partial            partially observed (gaussian), full rank
-  partial_projected  partially observed, projected
-  partial_lowrank    partially observed, rank-deficient (m <= k <= n)
+  full               full-rank control weight
+  projected          projected onto the ell dominant modes
+  lowrank            rank-deficient control weight (m < n)
+  partial            full on the innovation
+  partial_projected  projected on the innovation
+  partial_lowrank    lowrank on the innovation (m <= k <= n)
   floor              rate floor sum(log|eig|) over unstable modes
   upper              achievable output entropy of the lattice coder
 """
@@ -35,6 +42,8 @@ LOWER_KINDS = ("full", "projected", "lowrank", "partial", "partial_projected",
 
 DEFAULT_I_MAX = 64
 INFIMUM_TOL = 1e-9
+# The upper bounds minimize over design distortions on a log grid this long.
+DESIGN_GRID_POINTS = 64
 
 
 def nats_to_bits(x: float) -> float:
@@ -78,20 +87,13 @@ def causal_slb(a: float, w: float, entropy_power: float, n: int, d: float) -> fl
 
     a is the per-dimension dynamics gain |det A|^(1/n), w the per-dimension
     weight determinant, and d the weighted mean-square distortion budget.
+    n may be a number ell of retained modes; ell = 0 gives rate 0.
     """
     if d <= 0:
         raise ValueError("distortion d must be positive")
-    return 0.5 * n * math.log(a * a + w * entropy_power * n / d)
-
-
-def causal_slb_projected(a_prime: float, w_prime: float, entropy_power: float,
-                         ell: int, d: float) -> float:
-    """Projected variant: rate of the ell retained modes at distortion d."""
-    if d <= 0:
-        raise ValueError("distortion d must be positive")
-    if ell == 0:
+    if n == 0:
         return 0.0
-    return 0.5 * ell * math.log(a_prime * a_prime + w_prime * entropy_power * ell / d)
+    return 0.5 * n * math.log(a * a + w * entropy_power * n / d)
 
 
 @dataclass(frozen=True)
@@ -290,77 +292,82 @@ def _ordered_basis(a: np.ndarray, cut_sq: float, want: int | None = None):
 
 
 # ---------------------------------------------------------------------------
+# the coded process and the noise that drives it
+
+class _Gaussian:
+    """Gaussian noise of a Riccati covariance, taken as computed (NoiseModel
+    checks symmetry to an absolute 1e-12); a singular covariance has entropy
+    power 0 instead of raising."""
+
+    family = "gaussian"
+
+    def __init__(self, covariance: np.ndarray) -> None:
+        self.covariance = covariance
+        self.entropy_power = self.projected_entropy_power(np.eye(len(covariance)))
+
+    def projected_entropy_power(self, t: np.ndarray) -> float:
+        log_det = _logdet(t @ self.covariance @ t.T)
+        return math.exp(log_det / len(t)) if math.isfinite(log_det) else 0.0
+
+    @property
+    def regularity(self) -> tuple[float, float]:
+        lam_min = float(np.linalg.eigvalsh(self.covariance).min())
+        if lam_min <= 0:
+            raise ValueError("innovation jump covariance must be nonsingular")
+        return (0.0, 3.0 / lam_min)
+
+
+@dataclass(frozen=True)
+class _Source:
+    """Noise z, gain K and jump K z of the coded process, and its b_min."""
+
+    z: NoiseModel | _Gaussian
+    gain: np.ndarray
+    jump: NoiseModel | _Gaussian
+    bmin: float
+
+
+def _source(plant: LinearPlant, control: ControlRiccati,
+            filt: FilterRiccati | None = None) -> _Source:
+    """The process noise v when filt is None, else the Kalman innovation."""
+    if filt is None:
+        return _Source(plant.noise_v, np.eye(plant.n), plant.noise_v,
+                       b_min(plant, control))
+    return _Source(_Gaussian(filt.innovation_cov), filt.K,
+                   _Gaussian(filt.N), b_min(plant, control, filt))
+
+
+# ---------------------------------------------------------------------------
 # rate-cost lower bounds (control level)
 
-def lower_bound_full(plant: LinearPlant, control: ControlRiccati, b: float,
-                     entropy_power: float | None = None) -> float:
-    """Fully observed converse:
-    log|det A| + (n/2) log(1 + N(V) |det M|^(1/n) / ((b - b_min)/n)).
-    """
+def _converse(plant: LinearPlant, control: ControlRiccati, src: _Source,
+              b: float) -> float:
+    """log|det A| + (n/2) log(1 + N(K z) |det M|^(1/n) / ((b - b_min)/n))."""
     n = plant.n
-    slack = _require_feasible(b, b_min(plant, control))
-    log_det_a = _logdet_abs(plant.A)
-    if log_det_a == -math.inf:
+    slack = _require_feasible(b, src.bmin)
+    sign, log_det_a = np.linalg.slogdet(plant.A)
+    if sign == 0:
         return -math.inf
-    n_v = plant.noise_v.entropy_power if entropy_power is None else entropy_power
     log_det_m = _logdet(control.M)
     det_m_root = math.exp(log_det_m / n) if math.isfinite(log_det_m) else 0.0
-    return log_det_a + 0.5 * n * math.log1p(n_v * det_m_root * n / slack)
+    return log_det_a + 0.5 * n * math.log1p(
+        src.jump.entropy_power * det_m_root * n / slack)
 
 
-def lower_bound_partial(plant: LinearPlant, control: ControlRiccati,
-                        filt: FilterRiccati, b: float) -> float:
-    """Partially observed gaussian converse:
-    log|det A| + (n/2) log(1 + det(N M)^(1/n) / ((b - b_min)/n)).
-    """
-    n = plant.n
-    slack = _require_feasible(b, b_min(plant, control, filt))
-    log_det_a = _logdet_abs(plant.A)
-    if log_det_a == -math.inf:
-        return -math.inf
-    log_det_nm = _logdet(filt.N) + _logdet(control.M)
-    det_root = math.exp(log_det_nm / n) if math.isfinite(log_det_nm) else 0.0
-    return log_det_a + 0.5 * n * math.log1p(det_root * n / slack)
-
-
-def lower_bound_projected(plant: LinearPlant, control: ControlRiccati, b: float,
-                          proj: ProjectionSpec | None = None,
-                          entropy_power: float | None = None) -> float:
-    """Projected converse pricing only the ell dominant modes:
-    ell log a' + (ell/2) log(1 + mu' N(proj V) / ((b - b_min)/ell)).
-    """
+def _projected(plant: LinearPlant, control: ControlRiccati, src: _Source,
+               b: float, proj: ProjectionSpec | None) -> float:
+    """ell log a' + (ell/2) log(1 + mu' N(T K z) / ((b - b_min)/ell)), with
+    T the projection onto the ell dominant modes."""
     if proj is None:
         proj = make_projection(plant, control)
     if proj.ell == 0:
         return 0.0
-    slack = _require_feasible(b, b_min(plant, control))
+    slack = _require_feasible(b, src.bmin)
     if proj.a_prime == 0.0:
         return -math.inf
-    if entropy_power is None:
-        entropy_power = plant.noise_v.projected_entropy_power(proj.transform)
+    power = src.jump.projected_entropy_power(proj.transform)
     return proj.ell * math.log(proj.a_prime) + 0.5 * proj.ell * math.log1p(
-        proj.mu_prime * entropy_power * proj.ell / slack
-    )
-
-
-def lower_bound_partial_projected(plant: LinearPlant, control: ControlRiccati,
-                                  filt: FilterRiccati, b: float,
-                                  proj: ProjectionSpec | None = None) -> float:
-    """Projected partially observed converse; the innovation jump covariance
-    N replaces the process noise: eta' = det(proj N proj^T)^(1/ell).
-    """
-    if proj is None:
-        proj = make_projection(plant, control)
-    if proj.ell == 0:
-        return 0.0
-    slack = _require_feasible(b, b_min(plant, control, filt))
-    if proj.a_prime == 0.0:
-        return -math.inf
-    t = proj.transform
-    log_det = _logdet(t @ filt.N @ t.T)
-    eta_prime = math.exp(log_det / proj.ell) if math.isfinite(log_det) else 0.0
-    return proj.ell * math.log(proj.a_prime) + 0.5 * proj.ell * math.log1p(
-        eta_prime * proj.mu_prime * proj.ell / slack
+        proj.mu_prime * power * proj.ell / slack
     )
 
 
@@ -369,45 +376,55 @@ def _weighted_gain_rows(control: ControlRiccati) -> np.ndarray:
     return psd_sqrt(control.gain_cost) @ control.L
 
 
-def lower_bound_lowrank(plant: LinearPlant, control: ControlRiccati, b: float,
-                        i_max: int = DEFAULT_I_MAX,
-                        entropy_power: float | None = None) -> InfimumBound:
-    """Fully observed converse for m < n control inputs.
-
-    The weighted quantization problem is equivalent to coding s'' = A s with
-    weight M = L_w^T L_w and noise A v, so the low-rank causal SLB applies
-    with K = A.
-    """
-    slack = _require_feasible(b, b_min(plant, control))
-    if entropy_power is None:
-        entropy_power = plant.noise_v.entropy_power
+def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source,
+             b: float, i_max: int) -> InfimumBound:
+    """Coding s'' = A s under the weight M = L_w^T L_w, driven by A K z: the
+    low-rank causal SLB with gain A K."""
+    slack = _require_feasible(b, src.bmin)
     return causal_slb_lowrank(
-        plant.A, _weighted_gain_rows(control), plant.A,
-        plant.noise_v.covariance, entropy_power, slack, i_max=i_max,
+        plant.A, _weighted_gain_rows(control), plant.A @ src.gain,
+        src.z.covariance, src.z.entropy_power, slack, i_max=i_max,
     )
+
+
+def lower_bound_full(plant: LinearPlant, control: ControlRiccati,
+                     b: float) -> float:
+    """Fully observed converse:
+    log|det A| + (n/2) log(1 + N(V) |det M|^(1/n) / ((b - b_min)/n))."""
+    return _converse(plant, control, _source(plant, control), b)
+
+
+def lower_bound_partial(plant: LinearPlant, control: ControlRiccati,
+                        filt: FilterRiccati, b: float) -> float:
+    """Partially observed converse: N(V) becomes det(N)^(1/n)."""
+    return _converse(plant, control, _source(plant, control, filt), b)
+
+
+def lower_bound_projected(plant: LinearPlant, control: ControlRiccati, b: float,
+                          proj: ProjectionSpec | None = None) -> float:
+    """Projected converse pricing only the ell dominant modes of v."""
+    return _projected(plant, control, _source(plant, control), b, proj)
+
+
+def lower_bound_partial_projected(plant: LinearPlant, control: ControlRiccati,
+                                  filt: FilterRiccati, b: float,
+                                  proj: ProjectionSpec | None = None) -> float:
+    """Projected converse on the innovation; a singular T N T^T prices the
+    noise at 0."""
+    return _projected(plant, control, _source(plant, control, filt), b, proj)
+
+
+def lower_bound_lowrank(plant: LinearPlant, control: ControlRiccati, b: float,
+                        i_max: int = DEFAULT_I_MAX) -> InfimumBound:
+    """Fully observed converse for m < n control inputs (gain A K = A)."""
+    return _lowrank(plant, control, _source(plant, control), b, i_max)
 
 
 def lower_bound_partial_lowrank(plant: LinearPlant, control: ControlRiccati,
                                 filt: FilterRiccati, b: float,
                                 i_max: int = DEFAULT_I_MAX) -> InfimumBound:
-    """Partially observed converse for m <= k <= n.
-
-    The coded process is the state estimate, driven by the k-dimensional
-    innovation through A K; its weight is again M = L_w^T L_w.
-    """
-    slack = _require_feasible(b, b_min(plant, control, filt))
-    innov_cov = filt.innovation_cov
-    kdim = innov_cov.shape[0]
-    ep = math.exp(_logdet(innov_cov) / kdim)
-    return causal_slb_lowrank(
-        plant.A, _weighted_gain_rows(control), plant.A @ filt.K,
-        innov_cov, ep, slack, i_max=i_max,
-    )
-
-
-def _logdet_abs(mat: np.ndarray) -> float:
-    sign, val = np.linalg.slogdet(mat)
-    return val if sign != 0 else -math.inf
+    """Partially observed converse for m <= k <= n (gain A K)."""
+    return _lowrank(plant, control, _source(plant, control, filt), b, i_max)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +457,13 @@ def rogers_rho_bound(n: int) -> float:
 
 def lattice_entropy_upper(entropy_power: float, variance: float,
                           regularity: tuple[float, float] | None, n: int,
-                          rho: float, d: float, grid_points: int = 64) -> float:
+                          rho: float, d: float) -> float:
     """Output entropy bound for lattice quantization at covering distortion d:
 
       min over dt <= d of (n/2) log(N(X) / (dt/n)) + alpha_n + n log rho
         + 2 sqrt(dt) (c1 sqrt(Var X) + c0 + c1 sqrt(dt))
 
-    The minimum re-optimizes the design distortion over a 64-point log grid;
+    The minimum re-optimizes the design distortion over a log grid;
     regularity constants must be known.
     """
     if regularity is None:
@@ -454,7 +471,7 @@ def lattice_entropy_upper(entropy_power: float, variance: float,
     if d <= 0:
         raise ValueError("distortion d must be positive")
     c0, c1 = regularity
-    dt = np.geomspace(1e-6 * d, d, grid_points)
+    dt = np.geomspace(1e-6 * d, d, DESIGN_GRID_POINTS)
     vals = (
         0.5 * n * np.log(entropy_power * n / dt)
         + alpha_n(n)
@@ -465,40 +482,29 @@ def lattice_entropy_upper(entropy_power: float, variance: float,
 
 
 def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
-                       filt: FilterRiccati | None = None,
-                       rho: float | None = None,
-                       grid_points: int = 64) -> float:
+                       filt: FilterRiccati | None = None) -> float:
     """Entropy-cost upper bound: prefix-free coding of the lattice-quantized
     innovation attains LQR cost b at output entropy no larger than this.
 
     Equals the matching lower bound's leading terms plus concrete
-    corrections: alpha_n + n log rho + a smoothness term that vanishes as
-    b -> b_min (so the sandwich gap tends to alpha_n + n log rho).
+    corrections: alpha_n + n log rho (rho of the coder's lattice) + a
+    smoothness term that vanishes as b -> b_min (so the sandwich gap tends
+    to alpha_n + n log rho).  A partially observed plant needs its filter.
     """
+    if filt is None and not plant.fully_observed:
+        raise ValueError("filt is required for a partially observed plant")
     n = plant.n
-    if rho is None:
-        rho = 1.0 if n == 1 else rho_covering(n)
+    rho = 1.0 if n == 1 else rho_covering(n)
+    src = _source(plant, control, filt)
     w_mat = plant.A.T @ control.M @ plant.A
-
-    if filt is None:
-        if not plant.fully_observed:
-            raise ValueError("filt is required for a partially observed plant")
-        first_terms = lower_bound_full(plant, control, b)
-        noise_cov = plant.noise_v.covariance
-        reg = plant.noise_v.regularity
-        slack = b - b_min(plant, control)
-    else:
-        first_terms = lower_bound_partial(plant, control, filt, b)
-        noise_cov = filt.N
-        lam_min = float(np.linalg.eigvalsh(noise_cov).min())
-        if lam_min <= 0:
-            raise ValueError("innovation jump covariance must be nonsingular")
-        reg = (0.0, 3.0 / lam_min)
-        slack = b - b_min(plant, control, filt)
+    first_terms = _converse(plant, control, src, b)
+    noise_cov = src.jump.covariance
+    reg = src.jump.regularity
     if reg is None:
         raise ValueError(
-            f"{plant.noise_v.family} noise has no known regularity constants"
+            f"{src.jump.family} noise has no known regularity constants"
         )
+    slack = b - src.bmin
 
     w_eigs = np.linalg.eigvalsh(w_mat)
     w_min = float(w_eigs.min())
@@ -512,7 +518,7 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
 
     c0, c1 = reg
     sq_a = math.sqrt(a_star)
-    dt = np.geomspace(1e-6 * slack, slack, grid_points)
+    dt = np.geomspace(1e-6 * slack, slack, DESIGN_GRID_POINTS)
     beta = (np.sqrt(dt) / w_min) * (
         0.5 * c1 * sq_a * math.sqrt(v_total)
         + c0 * (2.0 + sq_a)
@@ -521,6 +527,19 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
     )
     correction = float((0.5 * n * np.log(slack / dt) + beta).min())
     return first_terms + alpha_n(n) + n * math.log(rho) + correction
+
+
+def rate_sandwich(plant: LinearPlant, control: ControlRiccati, b: float,
+                  filt: FilterRiccati | None = None) -> tuple[float, float]:
+    """(converse, coder entropy bound) at cost b on the plant's source; the
+    upper bound is NaN where it is not defined."""
+    lower = (lower_bound_full(plant, control, b) if filt is None
+             else lower_bound_partial(plant, control, filt, b))
+    try:
+        upper = entropy_cost_upper(plant, control, b, filt=filt)
+    except ValueError:
+        upper = math.nan
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     plant: LinearPlant
-    mode: str
     bounds: tuple[str, ...]
     b_grid: tuple[float, ...]
     d_grid: tuple[float, ...]
@@ -53,10 +52,6 @@ class ExperimentConfig:
     burn_in: int
     seed: int
     i_max: int
-
-    @property
-    def partial(self) -> bool:
-        return self.mode == "partially_observed"
 
 
 _KNOWN_KEYS = {"plant", "mode", "bounds", "b_grid", "d_grid", "distortion",
@@ -141,18 +136,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("plant is required")
     plant = plant_from_dict(raw["plant"])
 
-    default_mode = "fully_observed" if plant.fully_observed else "partially_observed"
-    mode = raw.get("mode", default_mode)
-    if mode not in ("fully_observed", "partially_observed"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "fully_observed" and not plant.fully_observed:
-        raise ConfigError("mode fully_observed needs C = I and no observation noise")
+    # The plant decides the observation mode; "mode" may only restate it.
+    observed = "fully_observed" if plant.fully_observed else "partially_observed"
+    mode = raw.get("mode", observed)
+    if mode != observed:
+        raise ConfigError(f"mode {mode!r} does not match the plant, which is "
+                          f"{observed} (C = I and no noise_w is fully observed)")
 
-    default_kind = "partial" if mode == "partially_observed" else "full"
+    default_kind = "full" if plant.fully_observed else "partial"
     kinds = _read(raw, "bounds", tuple, (default_kind, "upper"))
     for kind in kinds:
         if kind not in BOUND_KINDS:
             raise ConfigError(f"unknown bound kind {kind!r}; choose from {BOUND_KINDS}")
+        if kind.startswith("partial") and plant.fully_observed:
+            raise ConfigError(f"bound kind {kind!r} needs a partially observed plant")
 
     b_grid = _grid(raw, "b_grid")
     d_grid = _grid(raw, "d_grid")
@@ -172,7 +169,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("i_max must be at least 1")
 
     return ExperimentConfig(
-        plant=plant, mode=mode, bounds=kinds, b_grid=b_grid, d_grid=d_grid,
+        plant=plant, bounds=kinds, b_grid=b_grid, d_grid=d_grid,
         distortion=distortion, horizon=horizon, burn_in=burn_in, seed=seed,
         i_max=i_max)
 
@@ -367,14 +364,7 @@ def _bound_curves(cfg: ExperimentConfig, ctrl, filt, bmin: float,
     lower = np.empty_like(bs)
     upper = np.empty_like(bs)
     for i, b in enumerate(bs):
-        if cfg.partial:
-            lower[i] = bnd.lower_bound_partial(cfg.plant, ctrl, filt, b)
-        else:
-            lower[i] = bnd.lower_bound_full(cfg.plant, ctrl, b)
-        try:
-            upper[i] = bnd.entropy_cost_upper(cfg.plant, ctrl, b, filt=filt)
-        except ValueError:
-            upper[i] = math.nan
+        lower[i], upper[i] = bnd.rate_sandwich(cfg.plant, ctrl, b, filt)
     return bs, lower, upper
 
 
@@ -391,30 +381,27 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 def _solve(cfg: ExperimentConfig):
     ctrl = solve_control(cfg.plant)
-    filt = solve_filter(cfg.plant) if cfg.partial else None
+    filt = None if cfg.plant.fully_observed else solve_filter(cfg.plant)
     return ctrl, filt, b_min(cfg.plant, ctrl, filt)
 
 
-def _eval_bound(cfg: ExperimentConfig, kind: str, ctrl, filt, b: float) -> float:
+def _eval_bound(cfg: ExperimentConfig, kind: str, ctrl, filt,
+                b: float) -> tuple[float, bool]:
+    """(nats, converged) of one row; only a truncated infimum is not
+    converged.  A partial_ kind is its converse on the innovation, so it
+    takes the filter; the other kinds are evaluated on the process noise."""
     plant = cfg.plant
     if kind == "floor":
-        return bnd.unstable_floor(plant.A)
+        return bnd.unstable_floor(plant.A), True
     if kind == "upper":
-        return bnd.entropy_cost_upper(plant, ctrl, b, filt=filt)
-    if kind == "full":
-        return bnd.lower_bound_full(plant, ctrl, b)
-    if kind == "projected":
-        return bnd.lower_bound_projected(plant, ctrl, b)
-    if kind == "lowrank":
-        return bnd.lower_bound_lowrank(plant, ctrl, b, i_max=cfg.i_max).nats
-    if filt is None:
-        raise ConfigError(f"bound kind {kind!r} needs mode partially_observed")
-    if kind == "partial":
-        return bnd.lower_bound_partial(plant, ctrl, filt, b)
-    if kind == "partial_projected":
-        return bnd.lower_bound_partial_projected(plant, ctrl, filt, b)
-    return bnd.lower_bound_partial_lowrank(plant, ctrl, filt, b,
-                                           i_max=cfg.i_max).nats
+        return bnd.entropy_cost_upper(plant, ctrl, b, filt=filt), True
+    lower = getattr(bnd, f"lower_bound_{kind}")
+    args = ((plant, ctrl, filt, b) if kind.startswith("partial")
+            else (plant, ctrl, b))
+    if kind.endswith("lowrank"):
+        res = lower(*args, i_max=cfg.i_max)
+        return res.nats, res.converged
+    return lower(*args), True
 
 
 def cmd_bound(cfg: ExperimentConfig, args) -> int:
@@ -428,21 +415,22 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
         for kind in cfg.bounds:
             if kind not in ("floor",) and b <= bmin:
                 rows.append({"b": b, "kind": kind, "nats": math.nan,
-                             "bits": math.nan,
+                             "bits": math.nan, "converged": True,
                              "note": f"infeasible (b <= b_min={bmin:.7f})"})
                 continue
             try:
-                nats = _eval_bound(cfg, kind, ctrl, filt, b)
+                nats, converged = _eval_bound(cfg, kind, ctrl, filt, b)
             except ValueError as err:
                 raise ConfigError(f"bound {kind!r} at b={b:g}: {err}") from err
             rows.append({"b": b, "kind": kind, "nats": nats,
-                         "bits": bnd.nats_to_bits(nats), "note": ""})
+                         "bits": bnd.nats_to_bits(nats), "converged": converged,
+                         "note": ""})
 
     print(f"b_min = {bmin:.10g}")
-    _print_table(
-        ["b", "bound", "nats", "bits", "note"],
-        [[_fmt(r["b"]), r["kind"], _fmt(r["nats"]), _fmt(r["bits"]), r["note"]]
-         for r in rows])
+    header = ["b", "bound", "nats", "bits", "converged", "note"]
+    cells = [[_fmt(r["b"]), r["kind"], _fmt(r["nats"]), _fmt(r["bits"]),
+              _fmt(r["converged"]), r["note"]] for r in rows]
+    _print_table(header, cells)
     if args.out is not None:
         out = Path(args.out)
         if args.format == "json":
@@ -450,9 +438,7 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
                 {k: _js(v) for k, v in r.items()} for r in rows]}
             _write(out / "bound.json", json.dumps(payload, indent=2) + "\n")
         else:
-            lines = ["b,bound,nats,bits,note"]
-            lines += [",".join([_fmt(r["b"]), r["kind"], _fmt(r["nats"]),
-                                _fmt(r["bits"]), r["note"]]) for r in rows]
+            lines = [",".join(header)] + [",".join(c) for c in cells]
             _write(out / "bound.csv", "\n".join(lines) + "\n")
     return 0
 
@@ -460,7 +446,7 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
 def _single_run(cfg: ExperimentConfig):
     sim = SimConfig(plant=cfg.plant, horizon=cfg.horizon,
                     distortion=cfg.distortion, seed=cfg.seed,
-                    burn_in=cfg.burn_in, mode=cfg.mode)
+                    burn_in=cfg.burn_in)
     res = run(sim)
     ctrl, filt, bmin = _solve(cfg)
     d = cfg.distortion if cfg.distortion is not None else math.nan
@@ -490,7 +476,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(
             f"sweep needs a d_grid of at least {MIN_SWEEP_POINTS} points")
     points = sweep(cfg.plant, cfg.d_grid, horizon=cfg.horizon, seed=cfg.seed,
-                   burn_in=cfg.burn_in, mode=cfg.mode)
+                   burn_in=cfg.burn_in)
     ctrl, filt, bmin = _solve(cfg)
 
     print(f"b_min = {bmin:.10g}")

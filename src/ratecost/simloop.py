@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (entropy_cost_upper, lower_bound_full,
-                     lower_bound_partial, psd_sqrt)
+from .bounds import psd_sqrt, rate_sandwich
 from .quantizer import EntropyEstimate, empirical_entropy, lattice_for_dimension
 from .riccati import b_min, solve_control, solve_filter
 from .sysmodel import LinearPlant, numerical_rank
@@ -45,21 +44,16 @@ MIN_SWEEP_POINTS = 8
 @dataclass(frozen=True)
 class SimConfig:
     """One closed-loop run: quantized when distortion is set, else the
-    classical (rate-unconstrained) loop."""
+    classical (rate-unconstrained) loop.  The plant's observation structure
+    decides whether the coder sees the process noise or the innovation."""
 
     plant: LinearPlant
     horizon: int
     distortion: float | None
     seed: int | np.random.SeedSequence = 0
     burn_in: int = 1000
-    mode: str = "fully_observed"
 
     def __post_init__(self):
-        if self.mode not in ("fully_observed", "partially_observed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "fully_observed" and not self.plant.fully_observed:
-            raise ValueError(
-                "mode fully_observed needs C = I and no observation noise")
         if self.horizon <= self.burn_in:
             raise ValueError("horizon must exceed burn_in")
         if self.distortion is not None and self.distortion <= 0:
@@ -191,7 +185,7 @@ def _diverged_result(step: int, window: int, digest: str) -> SimResult:
 def run(cfg: SimConfig) -> SimResult:
     """Simulate one closed loop and audit its cost decomposition."""
     plant = cfg.plant
-    partial = cfg.mode == "partially_observed"
+    partial = not plant.fully_observed
     quantized = cfg.distortion is not None
     ctrl = solve_control(plant)
     filt = solve_filter(plant) if partial else None
@@ -296,8 +290,7 @@ class TradeoffPoint:
 
 
 def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
-          burn_in: int = 1000,
-          mode: str = "fully_observed") -> list[TradeoffPoint]:
+          burn_in: int = 1000) -> list[TradeoffPoint]:
     """Run one simulation per distortion and pair each empirical point
     with the matching converse and achievability bounds at the measured
     cost.  Points are returned sorted by b_hat, diverged runs last.
@@ -308,16 +301,15 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
     if len(d_grid) < MIN_SWEEP_POINTS:
         raise ValueError(
             f"need at least {MIN_SWEEP_POINTS} distortion grid points")
-    partial = mode == "partially_observed"
     ctrl = solve_control(plant)
-    filt = solve_filter(plant) if partial else None
+    filt = None if plant.fully_observed else solve_filter(plant)
     bmin = b_min(plant, ctrl, filt)
 
     points = []
     for i, d in enumerate(d_grid):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
         res = run(SimConfig(plant=plant, horizon=horizon, distortion=d,
-                            seed=ss, burn_in=burn_in, mode=mode))
+                            seed=ss, burn_in=burn_in))
         points.append(tradeoff_point(plant, ctrl, filt, bmin, d, res))
     points.sort(key=lambda p: (p.diverged, p.b_hat))
     return points
@@ -328,17 +320,9 @@ def tradeoff_point(plant, ctrl, filt, bmin: float, d: float,
     """Pair one run with the converse and achievability bounds at its
     measured cost; bounds are NaN when diverged or infeasible."""
     if res.diverged or not res.b_hat > bmin:
-        lower = math.nan
-        upper = math.nan
+        lower = upper = math.nan
     else:
-        if filt is not None:
-            lower = lower_bound_partial(plant, ctrl, filt, res.b_hat)
-        else:
-            lower = lower_bound_full(plant, ctrl, res.b_hat)
-        try:
-            upper = entropy_cost_upper(plant, ctrl, res.b_hat, filt=filt)
-        except ValueError:
-            upper = math.nan
+        lower, upper = rate_sandwich(plant, ctrl, res.b_hat, filt)
     h_nats = math.nan if res.entropy is None else res.entropy.plug_in
     return TradeoffPoint(
         d=d, b_hat=res.b_hat, h_nats=h_nats,

@@ -33,7 +33,7 @@ def oracle_digest(cfg) -> str:
     """State/index digest of a quantized run, stepped one sample at a time."""
     plant = cfg.plant
     a, b, c = plant.A, plant.B, plant.C
-    partial = cfg.mode == "partially_observed"
+    partial = not plant.fully_observed
     ctrl = solve_control(plant)
     gain = ctrl.L @ a
     bg = b @ gain

@@ -63,8 +63,7 @@ def full_quant_1m():
 
 @pytest.fixture(scope="module")
 def partial_quant_1m():
-    cfg = SimConfig(plant_partial(), 1_000_000, 1.0, seed=12,
-                    mode="partially_observed")
+    cfg = SimConfig(plant_partial(), 1_000_000, 1.0, seed=12)
     return cfg, run(cfg)
 
 
@@ -215,8 +214,7 @@ def test_laplace_tradeoff_reproduction(capsys, laplace_sweep_1m):
 def test_separation_audit(capsys, full_quant_1m, partial_quant_1m):
     _, full = full_quant_1m
     _, part = partial_quant_1m
-    unq = run(SimConfig(plant_partial(), 1_000_000, None, seed=13,
-                        mode="partially_observed"))
+    unq = run(SimConfig(plant_partial(), 1_000_000, None, seed=13))
     checks = [
         ("full residual <= 3 se", abs(full.residual) <= 3.0 * full.se_b),
         ("full c_hat within 1%", abs(full.c_hat - C_REF) <= 0.01 * C_REF),
@@ -276,8 +274,7 @@ def test_partial_observation_bound(capsys):
         ("b_min matches hand value", abs(bmin - BMIN_PARTIAL) <= 1e-9),
         ("value at b_min+1", abs(got - want) <= 1e-6),
     ]
-    points = sweep(plant, np.geomspace(0.8, 20.0, 8), horizon=200_000,
-                   seed=21, mode="partially_observed")
+    points = sweep(plant, np.geomspace(0.8, 20.0, 8), horizon=200_000, seed=21)
     live = [p for p in points if not p.diverged]
     checks.append(("sweep finished", len(live) == 8))
     for p in live:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratecost import bounds
 from ratecost.bounds import (
@@ -10,7 +12,6 @@ from ratecost.bounds import (
     bits_to_nats,
     causal_slb,
     causal_slb_lowrank,
-    causal_slb_projected,
     default_ell,
     entropy_cost_upper,
     lattice_entropy_upper,
@@ -118,9 +119,10 @@ class TestCausalSlb:
         with pytest.raises(ValueError):
             causal_slb(2.0, 1.0, 1.0, 1, 0.0)
 
-    def test_projected_matches_plain_at_full_ell(self):
-        got = causal_slb_projected(1.3, 0.7, 0.9, 4, 2.0)
-        assert math.isclose(got, causal_slb(1.3, 0.7, 0.9, 4, 2.0), rel_tol=1e-12)
+    def test_no_retained_modes_need_no_rate(self):
+        assert causal_slb(1.3, 0.7, 0.9, 0, 2.0) == 0.0
+        with pytest.raises(ValueError):
+            causal_slb(1.3, 0.7, 0.9, 0, 0.0)
 
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2)])
     def test_lowrank_square_reduction(self, n, seed):
@@ -409,3 +411,116 @@ class TestEntropyCostUpper:
     def test_lattice_entropy_upper_needs_regularity(self):
         with pytest.raises(ValueError):
             lattice_entropy_upper(1.0, 1.0, None, 1, 1.0, 0.1)
+
+
+def matrix_plant(seed, n, m, k=None):
+    """Seeded plant with Q = R = I and unit gaussian noise: A = U diag(lam)
+    U^T with |lam| spread over 1.3..0.5, B = U G and C = H U^T with entries
+    of G and H of magnitude 0.7..1.3.  Partially observed (k outputs, unit
+    observation noise) unless k is None."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    u = q * np.sign(np.diag(r))
+    lam = ((np.linspace(1.3, 0.5, n) + rng.uniform(-0.02, 0.02, n))
+           * rng.choice([-1.0, 1.0], n))
+
+    def signed(shape):
+        return rng.uniform(0.7, 1.3, shape) * rng.choice([-1.0, 1.0], shape)
+
+    b = u @ signed((n, m))
+    c = signed((k or n, n)) @ u.T  # drawn either way: a seed fixes A and B
+    partial = {} if k is None else {
+        "c": c, "noise_w": NoiseModel("gaussian", np.eye(k))}
+    return LinearPlant(u @ np.diag(lam) @ u.T, b, np.eye(n), np.eye(m),
+                       NoiseModel("gaussian", np.eye(n)), **partial)
+
+
+# Values of partial, partial_projected, partial_lowrank and the partially
+# observed upper bound (None: undefined, W or N singular) at b = b_min (1 +
+# rel), frozen from the implementation before the full and partial kinds
+# shared one body.
+FROZEN_PARTIAL = [
+    ((0, 2, 2, 2), 0.1, (-0.1742969142820882, 0.27489305645223466,
+                         -0.1742969142824279, 70.06487945533979)),
+    ((0, 2, 2, 2), 2.0, (-0.3768176324627546, 0.272104392668672,
+                         -0.3768176324631693, 262.1773987060448)),
+    ((1, 2, 1, 1), 0.1, (-0.44274231707970146, 0.2565576371132282,
+                         1.1932967103309808, None)),
+    ((1, 2, 1, 1), 2.0, (-0.44274231707970146, 0.2565576371132282,
+                         0.262310392206643, None)),
+    ((2, 3, 3, 3), 0.1, (0.7482037415548546, 0.7028229927479539,
+                         0.7482037415548097, 27.86430446215621)),
+    ((2, 3, 3, 3), 2.0, (-0.456355365814501, 0.30079001309322406,
+                         -0.45635536581460256, 43.493313869050496)),
+    ((3, 3, 1, 2), 0.1, (-0.5516093690253896, 0.2504060342134742,
+                         0.371660786865067, None)),
+    ((3, 3, 1, 2), 2.0, (-0.5516093690253896, 0.2504060342134742,
+                         0.25722047007433685, None)),
+    ((4, 4, 2, 2), 0.1, (-0.6411881830931551, 0.32595076484793095,
+                         1.9338256873616562, None)),
+    ((4, 4, 2, 2), 2.0, (-0.6411881830931551, 0.32595076484793095,
+                         -0.08614650319317217, None)),
+    ((5, 4, 4, 4), 0.1, (0.3427447884749605, 0.31151822909286775,
+                         0.34274478847490325, 1822.4968630012456)),
+    ((5, 4, 4, 4), 2.0, (-0.6270831722887783, 0.29257488452051067,
+                         -0.6270831722888733, 8068.0191990647345)),
+]
+
+
+def _partial_values(plant, ctrl, filt, b):
+    try:
+        upper = entropy_cost_upper(plant, ctrl, b, filt=filt)
+    except ValueError:
+        upper = None
+    return (lower_bound_partial(plant, ctrl, filt, b),
+            lower_bound_partial_projected(plant, ctrl, filt, b),
+            lower_bound_partial_lowrank(plant, ctrl, filt, b).nats, upper)
+
+
+class TestPartialKinds:
+    """The partial kinds are the full ones on the Kalman innovation."""
+
+    @pytest.mark.parametrize("shape, rel, want", FROZEN_PARTIAL)
+    def test_frozen_matrix_plants(self, shape, rel, want):
+        plant = matrix_plant(*shape)
+        ctrl, filt = solve_control(plant), solve_filter(plant)
+        b = b_min(plant, ctrl, filt) * (1.0 + rel)
+        got = _partial_values(plant, ctrl, filt, b)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert math.isclose(g, w, rel_tol=1e-12)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0.01, 10.0))
+    def test_square_lowrank_equals_full(self, n, seed, rel):
+        plant = matrix_plant(seed, n, n)
+        ctrl = solve_control(plant)
+        b = b_min(plant, ctrl) * (1.0 + rel)
+        res = lower_bound_lowrank(plant, ctrl, b)
+        assert res.converged
+        assert math.isclose(res.nats, lower_bound_full(plant, ctrl, b),
+                            rel_tol=1e-9, abs_tol=1e-12)
+
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0.01, 10.0))
+    def test_square_partial_lowrank_equals_partial(self, n, seed, rel):
+        plant = matrix_plant(seed, n, n, n)
+        ctrl, filt = solve_control(plant), solve_filter(plant)
+        b = b_min(plant, ctrl, filt) * (1.0 + rel)
+        res = lower_bound_partial_lowrank(plant, ctrl, filt, b)
+        assert math.isclose(res.nats, lower_bound_partial(plant, ctrl, filt, b),
+                            rel_tol=1e-9, abs_tol=1e-12)
+
+    @given(st.integers(2, 4), st.data(), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 10.0))
+    def test_few_outputs_finite_and_below_upper(self, n, data, seed, rel):
+        k = data.draw(st.integers(1, n), label="k")
+        m = data.draw(st.integers(1, k), label="m")
+        plant = matrix_plant(seed, n, m, k)
+        ctrl, filt = solve_control(plant), solve_filter(plant)
+        b = b_min(plant, ctrl, filt) * (1.0 + rel)
+        _, projected, lowrank, upper = _partial_values(plant, ctrl, filt, b)
+        assert math.isfinite(projected) and math.isfinite(lowrank)
+        # the upper bound needs nonsingular W and N: m = k = n
+        assert (upper is None) == (m < n)
+        if upper is not None:
+            assert max(projected, lowrank) <= upper

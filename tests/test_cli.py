@@ -49,7 +49,7 @@ def read_rows(path):
 class TestConfigParsing:
     def test_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.mode == "fully_observed"
+        assert cfg.plant.fully_observed
         assert cfg.bounds == ("full", "upper")
         assert cfg.horizon == 6_000
         assert cfg.distortion is None
@@ -103,8 +103,15 @@ class TestConfigParsing:
         raw = base_config()
         raw["plant"]["noise_w"] = {"family": "gaussian", "covariance": [[1.0]]}
         cfg = config_from_dict(raw)
-        assert cfg.mode == "partially_observed"
+        assert not cfg.plant.fully_observed
         assert cfg.bounds == ("partial", "upper")
+        # "mode" is optional, and may restate what the plant says
+        restated = config_from_dict(dict(raw, mode="partially_observed"))
+        assert restated.bounds == cfg.bounds
+
+    def test_partial_kind_needs_partial_plant(self):
+        with pytest.raises(ConfigError, match="partially observed plant"):
+            config_from_dict(base_config(bounds=["partial_lowrank"]))
 
 
 class TestBoundCommand:
@@ -141,6 +148,26 @@ class TestBoundCommand:
         payload = json.loads((tmp_path / "bound.json").read_text())
         assert math.isclose(payload["b_min"], BMIN_FULL, rel_tol=1e-9)
         assert payload["rows"][0]["kind"] == "full"
+        assert all(r["converged"] is True for r in payload["rows"])
+
+    def test_truncated_infimum_reported(self, tmp_path):
+        raw = base_config(bounds=["lowrank"], b_grid=[100.0], i_max=1)
+        raw["plant"].update({
+            "a": [[2.0, 1.0], [0.0, 1.2]], "b": [[0.0], [1.0]],
+            "q": [[1.0, 0.0], [0.0, 1.0]],
+            "noise_v": {"family": "gaussian",
+                        "covariance": [[1.0, 0.0], [0.0, 1.0]]}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        for fmt in ("csv", "json"):
+            assert main(["bound", "--config", str(path), "--out",
+                         str(tmp_path), "--format", fmt]) == 0
+        (row,) = read_rows(tmp_path / "bound.csv")
+        assert row["converged"] == "false"
+        assert row["note"] == ""
+        (row,) = json.loads((tmp_path / "bound.json").read_text())["rows"]
+        assert row["converged"] is False
+        assert row["note"] == ""
 
     def test_needs_b_grid(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -323,6 +350,24 @@ class TestErrorContract:
         del raw["distortion"]
         path.write_text(json.dumps(raw))
         assert main(["simulate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("mode, noise_w", [
+        ("partially_observed", None),
+        ("fully_observed", {"family": "gaussian", "covariance": [[1.0]]}),
+        ("open_loop", None),
+    ], ids=["partial_on_full", "full_on_partial", "unknown"])
+    def test_mode_must_match_plant(self, tmp_path, capsys, mode, noise_w):
+        raw = base_config(mode=mode, b_grid=[6.0, 20.0], distortion=1.0)
+        if noise_w is not None:
+            raw["plant"]["noise_w"] = noise_w
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        for command in ("validate", "bound", "simulate"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: mode '{mode}' does not "
+                                  "match the plant")
+            assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("exc, code, prefix", [
         (ValueError("bad parameter"), 2, "config error: bad parameter"),

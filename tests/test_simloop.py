@@ -33,10 +33,6 @@ def two_dim_plant():
 
 
 class TestConfig:
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            SimConfig(scalar_plant(), 2000, 1.0, mode="open_loop")
-
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError, match="burn_in"):
             SimConfig(scalar_plant(), 500, 1.0, burn_in=1000)
@@ -54,8 +50,7 @@ class TestOracle:
         assert run(cfg).digest == oracle_digest(cfg)
 
     def test_partially_observed_bitwise_equal(self):
-        cfg = SimConfig(scalar_partial_plant(), 20_000, 0.8, seed=11,
-                        mode="partially_observed")
+        cfg = SimConfig(scalar_partial_plant(), 20_000, 0.8, seed=11)
         assert run(cfg).digest == oracle_digest(cfg)
 
     def test_two_dim_bitwise_equal(self):
@@ -117,10 +112,6 @@ class TestFullyObserved:
         assert res.c_hat < 1e-12
         assert abs(res.d_hat - 1.0 / 3.0) < 0.02
 
-    def test_mode_guard(self):
-        with pytest.raises(ValueError, match="fully_observed"):
-            SimConfig(scalar_partial_plant(), 5_000, 1.0)
-
     def test_divergence_flag(self):
         cfg = SimConfig(scalar_plant(x1_var=1e30), 5_000, 1.0, seed=0)
         res = run(cfg)
@@ -132,8 +123,7 @@ class TestFullyObserved:
 
 class TestPartiallyObserved:
     def test_unquantized_reaches_partial_cost(self):
-        cfg = SimConfig(scalar_partial_plant(), 400_000, None, seed=17,
-                        mode="partially_observed")
+        cfg = SimConfig(scalar_partial_plant(), 400_000, None, seed=17)
         res = run(cfg)
         assert res.d_hat == 0.0
         assert res.e_hat > 0.0
@@ -143,8 +133,7 @@ class TestPartiallyObserved:
     def test_innovation_jump_covariance_matches_filter(self):
         plant = scalar_partial_plant()
         filt = solve_filter(plant)
-        cfg = SimConfig(plant, 1_000_000, None, seed=3,
-                        mode="partially_observed")
+        cfg = SimConfig(plant, 1_000_000, None, seed=3)
         res = run(cfg)
         assert np.allclose(res.innovation_jump_cov, filt.N, rtol=2e-2)
 
@@ -152,8 +141,7 @@ class TestPartiallyObserved:
         plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
                             NoiseModel("gaussian", [[1.0]]), c=[[1.0]],
                             noise_w=NoiseModel("gaussian", [[1e-12]]))
-        cfg_p = SimConfig(plant, 150_000, 1.0, seed=21,
-                          mode="partially_observed")
+        cfg_p = SimConfig(plant, 150_000, 1.0, seed=21)
         cfg_f = SimConfig(scalar_plant(), 150_000, 1.0, seed=21)
         res_p = run(cfg_p)
         res_f = run(cfg_f)
@@ -163,7 +151,7 @@ class TestPartiallyObserved:
         plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
                             NoiseModel("laplace", [[1.0]]), c=[[1.0]],
                             noise_w=NoiseModel("gaussian", [[1.0]]))
-        cfg = SimConfig(plant, 5_000, 1.0, mode="partially_observed")
+        cfg = SimConfig(plant, 5_000, 1.0)
         with pytest.raises(Exception, match="[Gg]aussian"):
             run(cfg)
 
