@@ -4,11 +4,9 @@ converse bounds, lattice DPCM coding, and seeded closed-loop simulation."""
 from .bounds import (
     InfimumBound,
     alpha_n,
-    bits_to_nats,
     causal_slb,
     causal_slb_lowrank,
     entropy_cost_upper,
-    lattice_entropy_upper,
     lower_bound_full,
     lower_bound_lowrank,
     lower_bound_partial,
@@ -17,11 +15,8 @@ from .bounds import (
     lower_bound_projected,
     make_projection,
     nats_to_bits,
-    psi_bits,
-    psi_inv_bits,
     rho_covering,
     unstable_floor,
-    varrate_sandwich,
 )
 from .quantizer import (
     DpcmCodec,
@@ -44,7 +39,6 @@ from .simloop import (
     SimConfig,
     SimResult,
     TradeoffPoint,
-    decompose_cost,
     run,
     sweep,
     tradeoff_point,
@@ -70,14 +64,11 @@ __all__ = [
     "a_star_lattice",
     "alpha_n",
     "b_min",
-    "bits_to_nats",
     "causal_slb",
     "causal_slb_lowrank",
-    "decompose_cost",
     "empirical_entropy",
     "entropy_cost_upper",
     "integer_lattice",
-    "lattice_entropy_upper",
     "lattice_for_dimension",
     "lower_bound_full",
     "lower_bound_lowrank",
@@ -87,8 +78,6 @@ __all__ = [
     "lower_bound_projected",
     "make_projection",
     "nats_to_bits",
-    "psi_bits",
-    "psi_inv_bits",
     "rho_covering",
     "run",
     "solve_control",
@@ -97,5 +86,4 @@ __all__ = [
     "tradeoff_point",
     "unstable_floor",
     "validate",
-    "varrate_sandwich",
 ]

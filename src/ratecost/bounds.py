@@ -3,8 +3,8 @@
 Lower bounds give the minimum information rate (nats per step, directed
 sense) any causal coding scheme needs to attain LQR cost b; the upper bound
 is the output entropy of a lattice-quantized predictive coder at the same
-cost.  All rates are nats internally; bits appear only through the explicit
-conversion helpers.
+cost.  All rates are nats; bits appear only through ``nats_to_bits``, in the
+``bound`` output.
 
 Each bound has one body over the noise z that drives the coded process
 s_{i+1} = A s_i + K z_i (``_source``): the process noise v (K = I) for a
@@ -48,10 +48,6 @@ DESIGN_GRID_POINTS = 64
 
 def nats_to_bits(x: float) -> float:
     return x * LOG2_E
-
-
-def bits_to_nats(x: float) -> float:
-    return x / LOG2_E
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -185,14 +181,13 @@ class ProjectionSpec:
     """Orthogonal change of basis isolating the ell dominant modes of A.
 
     A = J A' J^{-1} with A' block lower-triangular, the leading ell x ell
-    block carrying the largest-magnitude eigenvalues.  ``lam`` is a diagonal
-    (vector) lower bound on J^T M J used to price the retained modes.
+    block carrying the largest-magnitude eigenvalues.  a_prime is
+    |det A'_ell|^(1/ell) and mu_prime prices the retained modes.
     """
 
     j: np.ndarray
     j_inv: np.ndarray
     ell: int
-    lam: np.ndarray
     a_prime: float
     mu_prime: float
 
@@ -216,8 +211,10 @@ def make_projection(
     """Build a ProjectionSpec for the ell largest-|eig| modes of plant.A.
 
     The orthogonal basis J comes from a real Schur decomposition sorted by
-    eigenvalue magnitude; ell must not split a complex pair.  lam defaults
-    to the uniform floor min-eig(J^T M J).
+    eigenvalue magnitude; ell must not split a complex pair.  lam is a
+    diagonal (vector) lower bound on J^T M J; mu_prime is the geometric mean
+    of its leading ell entries.  lam defaults to the uniform floor
+    min-eig(J^T M J).
     """
     a = plant.A
     n = plant.n
@@ -227,7 +224,7 @@ def make_projection(
         raise ValueError(f"ell must be in [0, {n}], got {ell}")
     if ell == 0:
         return ProjectionSpec(j=np.eye(n), j_inv=np.eye(n), ell=0,
-                              lam=np.zeros(n), a_prime=0.0, mu_prime=0.0)
+                              a_prime=0.0, mu_prime=0.0)
 
     mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
     if ell == n:
@@ -267,8 +264,8 @@ def make_projection(
     lead = lam_vec[:ell]
     mu_prime = float(np.exp(np.mean(np.log(lead)))) if np.all(lead > 0) else 0.0
 
-    return ProjectionSpec(j=j_mat, j_inv=j_inv, ell=ell, lam=lam_vec,
-                          a_prime=a_prime, mu_prime=mu_prime)
+    return ProjectionSpec(j=j_mat, j_inv=j_inv, ell=ell, a_prime=a_prime,
+                          mu_prime=mu_prime)
 
 
 def _ordered_basis(a: np.ndarray, cut_sq: float, want: int | None = None):
@@ -455,32 +452,6 @@ def rogers_rho_bound(n: int) -> float:
     return 0.5 * math.log(TWO_PI_E) * (math.log(n) + math.log(math.log(n)) + 2.0)
 
 
-def lattice_entropy_upper(entropy_power: float, variance: float,
-                          regularity: tuple[float, float] | None, n: int,
-                          rho: float, d: float) -> float:
-    """Output entropy bound for lattice quantization at covering distortion d:
-
-      min over dt <= d of (n/2) log(N(X) / (dt/n)) + alpha_n + n log rho
-        + 2 sqrt(dt) (c1 sqrt(Var X) + c0 + c1 sqrt(dt))
-
-    The minimum re-optimizes the design distortion over a log grid;
-    regularity constants must be known.
-    """
-    if regularity is None:
-        raise ValueError("smoothness correction needs regularity constants")
-    if d <= 0:
-        raise ValueError("distortion d must be positive")
-    c0, c1 = regularity
-    dt = np.geomspace(1e-6 * d, d, DESIGN_GRID_POINTS)
-    vals = (
-        0.5 * n * np.log(entropy_power * n / dt)
-        + alpha_n(n)
-        + n * math.log(rho)
-        + 2.0 * np.sqrt(dt) * (c1 * math.sqrt(variance) + c0 + c1 * np.sqrt(dt))
-    )
-    return float(vals.min())
-
-
 def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
                        filt: FilterRiccati | None = None) -> float:
     """Entropy-cost upper bound: prefix-free coding of the lattice-quantized
@@ -540,34 +511,3 @@ def rate_sandwich(plant: LinearPlant, control: ControlRiccati, b: float,
     except ValueError:
         upper = math.nan
     return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# variable-rate conversion (bits)
-
-def psi_bits(x: float) -> float:
-    """psi(x) = x + log2(x + 1) + log2(e), the variable-rate penalty map."""
-    if x < 0:
-        raise ValueError("psi is defined for nonnegative rates")
-    return x + math.log2(x + 1.0) + LOG2_E
-
-
-def psi_inv_bits(y: float, tol: float = 1e-10) -> float:
-    """Inverse of psi by bisection; values below psi(0) clamp to 0."""
-    if y < 0:
-        raise ValueError("psi_inv is defined for nonnegative rates")
-    if y <= psi_bits(0.0):
-        return 0.0
-    lo, hi = 0.0, y
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if psi_bits(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def varrate_sandwich(converse_bits: float, entropy_bits: float) -> tuple[float, float]:
-    """Operational variable-rate sandwich (psi^{-1}(R), H), both in bits."""
-    return (psi_inv_bits(converse_bits), entropy_bits)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .riccati import b_min, solve_control, solve_filter
-from .simloop import (MIN_SWEEP_POINTS, SimConfig, TradeoffPoint,
-                      decompose_cost, run, sweep, tradeoff_point)
+from .simloop import (MIN_SWEEP_POINTS, SimConfig, TradeoffPoint, run, sweep,
+                      tradeoff_point)
 from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
@@ -32,6 +32,7 @@ CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
 BOUND_KINDS = bnd.LOWER_KINDS + ("upper", "floor")
 
 DEFAULT_HORIZON = 100_000
+MIN_DECOMPOSE_WINDOW = 10_000
 
 
 class ConfigError(ValueError):
@@ -161,6 +162,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     horizon = _read(raw, "horizon", int, DEFAULT_HORIZON)
     burn_in = _read(raw, "burn_in", int, 1000)
+    if burn_in < 0:
+        raise ConfigError("burn_in must be nonnegative")
     if horizon <= burn_in:
         raise ConfigError("horizon must exceed burn_in")
     seed = _read(raw, "seed", int, 0)
@@ -464,7 +467,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
                     ["window", str(res.window)],
                     ["digest", res.digest]])
     if res.diverged:
-        print(f"diverged at step {res.diverged_step}")
+        print(f"diverged at step {res.steps}")
     meta = {"b_min": bmin, "seed": cfg.seed, "horizon": cfg.horizon,
             "digest": res.digest}
     _emit_points([point], meta, args, "simulate")
@@ -507,20 +510,20 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def cmd_decompose(cfg: ExperimentConfig, args) -> int:
     res, point, ctrl, filt, bmin = _single_run(cfg)
-    try:
-        c_hat, e_hat, d_hat, residual = decompose_cost(res)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    if res.window < MIN_DECOMPOSE_WINDOW:
+        raise ConfigError(
+            f"need a post-burn-in window of {MIN_DECOMPOSE_WINDOW} steps")
     c_ref = float(np.trace(cfg.plant.noise_v.covariance @ ctrl.S))
     w_mat = cfg.plant.A.T @ ctrl.M @ cfg.plant.A
     e_ref = (float(np.trace(filt.Sigma @ w_mat)) if filt is not None else 0.0)
     rows = [
         ["b_hat", _fmt(res.b_hat), ""],
-        ["c_hat", _fmt(c_hat), f"tr(Cov_V S) = {c_ref:.7f}"],
-        ["e_hat", _fmt(e_hat), f"tr(Cov_est W) = {e_ref:.7f}"],
-        ["d_hat", _fmt(d_hat),
+        ["c_hat", _fmt(res.c_hat), f"tr(Cov_V S) = {c_ref:.7f}"],
+        ["e_hat", _fmt(res.e_hat), f"tr(Cov_est W) = {e_ref:.7f}"],
+        ["d_hat", _fmt(res.d_hat),
          "<= d" if cfg.distortion is not None else "unquantized: 0"],
-        ["residual", _fmt(residual), f"3*se(b_hat) = {3 * res.se_b:.3g}"],
+        ["residual", _fmt(res.residual),
+         f"3*se(b_hat) = {3 * res.se_b:.3g}"],
     ]
     _print_table(["term", "value", "reference"], rows)
     meta = {"b_min": bmin, "seed": cfg.seed, "horizon": cfg.horizon,

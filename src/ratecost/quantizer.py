@@ -201,7 +201,8 @@ class DpcmCodec:
     bit-identical state; ``state_digest`` exposes that for desync audits.
     The lattice is expected pre-scaled so its covering radius squared is
     the per-step distortion budget, which then bounds the weighted error
-    (s - s_hat)^T W (s - s_hat) on every step.
+    (s - s_hat)^T W (s - s_hat) on every step.  ``simloop.run`` does not use
+    this class: it runs the same coder as one error recursion.
     """
 
     def __init__(self, lattice: Lattice, weight, a_mat, b_mat=None, s0=None):

@@ -37,7 +37,6 @@ from .sysmodel import LinearPlant, numerical_rank
 DIVERGENCE_NORM = 1e12
 BATCH_COUNT = 20
 DISTORTION_SLACK = 1e-9
-MIN_DECOMPOSE_WINDOW = 10_000
 MIN_SWEEP_POINTS = 8
 
 
@@ -54,6 +53,8 @@ class SimConfig:
     burn_in: int = 1000
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         if self.horizon <= self.burn_in:
             raise ValueError("horizon must exceed burn_in")
         if self.distortion is not None and self.distortion <= 0:
@@ -71,7 +72,6 @@ class SimResult:
     entropy: EntropyEstimate | None
     max_step_distortion: float
     diverged: bool
-    diverged_step: int | None
     steps: int
     window: int
     digest: str
@@ -173,13 +173,12 @@ def _whitening(weight: np.ndarray):
     return w_sqrt, np.linalg.inv(w_sqrt)
 
 
-def _diverged_result(step: int, window: int, digest: str) -> SimResult:
+def _diverged_result(steps: int, window: int, digest: str) -> SimResult:
     nan = math.nan
     return SimResult(b_hat=math.inf, se_b=nan, c_hat=nan, e_hat=nan,
                      d_hat=nan, residual=nan, entropy=None,
-                     max_step_distortion=nan, diverged=True,
-                     diverged_step=step, steps=step, window=window,
-                     digest=digest)
+                     max_step_distortion=nan, diverged=True, steps=steps,
+                     window=window, digest=digest)
 
 
 def run(cfg: SimConfig) -> SimResult:
@@ -262,16 +261,8 @@ def run(cfg: SimConfig) -> SimResult:
                      e_hat=e_hat, d_hat=d_hat,
                      residual=b_hat - (c_hat + e_hat + d_hat),
                      entropy=entropy, max_step_distortion=max_dist,
-                     diverged=False, diverged_step=None, steps=steps,
-                     window=window, digest=digest, innovation_jump_cov=jump_cov)
-
-
-def decompose_cost(result: SimResult):
-    """(c_hat, e_hat, d_hat, residual) from a finished run."""
-    if result.window < MIN_DECOMPOSE_WINDOW:
-        raise ValueError(
-            f"need a post-burn-in window of {MIN_DECOMPOSE_WINDOW} steps")
-    return result.c_hat, result.e_hat, result.d_hat, result.residual
+                     diverged=False, steps=steps, window=window,
+                     digest=digest, innovation_jump_cov=jump_cov)
 
 
 @dataclass(frozen=True)

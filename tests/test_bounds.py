@@ -9,12 +9,10 @@ from ratecost import bounds
 from ratecost.bounds import (
     InfimumBound,
     alpha_n,
-    bits_to_nats,
     causal_slb,
     causal_slb_lowrank,
     default_ell,
     entropy_cost_upper,
-    lattice_entropy_upper,
     lower_bound_full,
     lower_bound_lowrank,
     lower_bound_partial,
@@ -23,12 +21,9 @@ from ratecost.bounds import (
     lower_bound_projected,
     make_projection,
     nats_to_bits,
-    psi_bits,
-    psi_inv_bits,
     rho_covering,
     rogers_rho_bound,
     unstable_floor,
-    varrate_sandwich,
 )
 from ratecost.riccati import b_min, solve_control, solve_filter
 from ratecost.sysmodel import LinearPlant, NoiseModel
@@ -39,8 +34,6 @@ RHO_2 = 1.0996361107912677
 CAUSAL_SLB_EX = 0.8047189562170050  # 0.5 ln 5
 FULL_AT_BMIN_PLUS_1 = 1.4370140156042802
 PARTIAL_AT_BMIN_PLUS_1 = 1.9657040842084052
-PSI_AT_0 = 1.4426950408889634
-PSI_AT_3 = 6.4426950408889634
 
 
 def gaussian_plant(a, b, q, r, cov_v, c=None, cov_w=None, family="gaussian"):
@@ -63,24 +56,9 @@ def scalar_partial():
 
 class TestUnits:
     def test_round_trip(self):
-        assert math.isclose(bits_to_nats(nats_to_bits(0.7)), 0.7, rel_tol=1e-12)
+        assert math.isclose(nats_to_bits(0.7) * math.log(2.0), 0.7,
+                            rel_tol=1e-12)
         assert math.isclose(nats_to_bits(math.log(2.0)), 1.0, rel_tol=1e-12)
-
-    def test_psi_frozen_values(self):
-        assert math.isclose(psi_bits(0.0), PSI_AT_0, rel_tol=1e-12)
-        assert math.isclose(psi_bits(3.0), PSI_AT_3, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 4.7, 25.0])
-    def test_psi_inverse_round_trip(self, x):
-        assert math.isclose(psi_inv_bits(psi_bits(x)), x, abs_tol=1e-9)
-
-    def test_psi_inverse_clamps_below_floor(self):
-        assert psi_inv_bits(0.5) == 0.0
-
-    def test_sandwich(self):
-        lo, hi = varrate_sandwich(psi_bits(2.0), 5.0)
-        assert math.isclose(lo, 2.0, abs_tol=1e-9)
-        assert hi == 5.0
 
 
 class TestLatticeConstants:
@@ -295,6 +273,23 @@ class TestProjection:
         assert math.isclose(lower_bound_projected(plant, ctrl, b, proj),
                             lower_bound_full(plant, ctrl, b), rel_tol=1e-9)
 
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.01, 0.5, 5.0]))
+    def test_full_ell_never_exceeds_full(self, n, seed, rel):
+        # At ell = n the default lam prices M by its smallest eigenvalue,
+        # which is at most det(M)^(1/n); equality needs M proportional to I.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        plant = gaussian_plant(rng.standard_normal((n, n)),
+                               rng.standard_normal((n, n)), np.eye(n),
+                               np.eye(n), g @ g.T + 0.1 * np.eye(n))
+        ctrl = solve_control(plant)
+        b = b_min(plant, ctrl) * (1.0 + rel)
+        full = lower_bound_full(plant, ctrl, b)
+        projected = lower_bound_projected(
+            plant, ctrl, b, make_projection(plant, ctrl, ell=n))
+        assert projected <= full + 1e-9 * max(1.0, abs(full))
+
     def test_dominant_mode_asymptote(self):
         plant = gaussian_plant(np.diag([2.0, 0.5]), np.eye(2), np.eye(2),
                                np.eye(2), np.eye(2))
@@ -398,19 +393,6 @@ class TestEntropyCostUpper:
         ctrl = solve_control(plant)
         b = b_min(plant, ctrl) + 1.0
         assert entropy_cost_upper(plant, ctrl, b) > lower_bound_full(plant, ctrl, b)
-
-    def test_lattice_entropy_upper_standalone(self):
-        # Gaussian X, unit variance, scalar: bound must exceed the true
-        # quantized entropy's high-rate approximation h(X) - log(2 sqrt(d)).
-        for d in (1e-4, 1e-2):
-            up = lattice_entropy_upper(1.0, 1.0, (0.0, 3.0), 1, 1.0, d)
-            approx = (0.5 * math.log(2.0 * math.pi * math.e)
-                      - math.log(2.0 * math.sqrt(d)))
-            assert up >= approx - 1e-9
-
-    def test_lattice_entropy_upper_needs_regularity(self):
-        with pytest.raises(ValueError):
-            lattice_entropy_upper(1.0, 1.0, None, 1, 1.0, 0.1)
 
 
 def matrix_plant(seed, n, m, k=None):

@@ -369,6 +369,14 @@ class TestErrorContract:
                                   "match the plant")
             assert len(err.strip().splitlines()) == 1
 
+    def test_negative_burn_in(self, tmp_path, capsys):
+        path = write_config(tmp_path, burn_in=-5, horizon=20_000,
+                            distortion=1.0)
+        for command in ("validate", "simulate", "decompose"):
+            assert main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: burn_in must be nonnegative\n"
+
     @pytest.mark.parametrize("exc, code, prefix", [
         (ValueError("bad parameter"), 2, "config error: bad parameter"),
         (np.linalg.LinAlgError("Singular matrix"), 1,

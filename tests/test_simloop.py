@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from sim_oracle import oracle_digest
 
 from ratecost.riccati import b_min, solve_control, solve_filter
-from ratecost.simloop import SimConfig, TradeoffPoint, decompose_cost, run, sweep
+from ratecost.simloop import SimConfig, TradeoffPoint, run, sweep
 from ratecost.sysmodel import LinearPlant, NoiseModel
 
 BMIN_FULL = 4.23606797749979
@@ -36,6 +36,10 @@ class TestConfig:
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError, match="burn_in"):
             SimConfig(scalar_plant(), 500, 1.0, burn_in=1000)
+
+    def test_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            SimConfig(scalar_plant(), 20_000, 1.0, burn_in=-5)
 
     def test_rejects_nonpositive_distortion(self):
         with pytest.raises(ValueError, match="distortion"):
@@ -116,7 +120,7 @@ class TestFullyObserved:
         cfg = SimConfig(scalar_plant(x1_var=1e30), 5_000, 1.0, seed=0)
         res = run(cfg)
         assert res.diverged
-        assert res.diverged_step == 1
+        assert res.steps == 1
         assert res.b_hat == math.inf
         assert res.entropy is None
 
@@ -167,19 +171,6 @@ class TestMatrixPlant:
         ctrl = solve_control(plant)
         bmin = b_min(plant, ctrl)
         assert res.b_hat > bmin
-
-
-class TestDecompose:
-    def test_returns_terms(self):
-        cfg = SimConfig(scalar_plant(), 30_000, 1.0, seed=4)
-        res = run(cfg)
-        c, e, d, r = decompose_cost(res)
-        assert (c, e, d, r) == (res.c_hat, res.e_hat, res.d_hat, res.residual)
-
-    def test_window_guard(self):
-        cfg = SimConfig(scalar_plant(), 5_000, 1.0, seed=4, burn_in=1000)
-        with pytest.raises(ValueError, match="window"):
-            decompose_cost(run(cfg))
 
 
 class TestSweep:
