@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from .riccati import b_min, solve_control, solve_filter
 from .simloop import (MIN_SWEEP_POINTS, SimConfig, TradeoffPoint, run, sweep,
-                      tradeoff_point)
+                      tradeoff_point, whitening)
 from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
@@ -509,10 +509,17 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_decompose(cfg: ExperimentConfig, args) -> int:
+    short = f"need a post-burn-in window of {MIN_DECOMPOSE_WINDOW} steps"
+    if cfg.horizon - cfg.burn_in < MIN_DECOMPOSE_WINDOW:
+        # refused without simulating; a coder weight the run would refuse
+        # is still reported first
+        if cfg.distortion is not None:
+            ctrl = solve_control(cfg.plant)
+            whitening(cfg.plant.A.T @ ctrl.M @ cfg.plant.A)
+        raise ConfigError(short)
     res, point, ctrl, filt, bmin = _single_run(cfg)
-    if res.window < MIN_DECOMPOSE_WINDOW:
-        raise ConfigError(
-            f"need a post-burn-in window of {MIN_DECOMPOSE_WINDOW} steps")
+    if res.window < MIN_DECOMPOSE_WINDOW:  # the run diverged early
+        raise ConfigError(short)
     c_ref = float(np.trace(cfg.plant.noise_v.covariance @ ctrl.S))
     w_mat = cfg.plant.A.T @ ctrl.M @ cfg.plant.A
     e_ref = (float(np.trace(filt.Sigma @ w_mat)) if filt is not None else 0.0)

@@ -1,13 +1,18 @@
 """Covering-lattice quantizers, the DPCM innovation codec, and entropy
 estimation from emitted index streams.
 
-Lattice menu: the integers for n = 1 and A_n* for 2 <= n <= 8, decoded in
-the sum-zero hyperplane of R^(n+1).  A_n* is the thinnest known lattice
-covering in every dimension handled here; no dither is used anywhere.
+Lattice menu: the integers for n = 1 and A_n* for 2 <= n <= 8.  A_n* is
+the thinnest known lattice covering in every dimension handled here; no
+dither is used anywhere.  A_n* decodes one vector at a time (Conway and
+Sloane's coset decode in the sum-zero hyperplane of R^(n+1), in Python
+floats), so a point gets the same bits alone or in a batch; the
+closed-loop engine calls the one-vector decoder on every step.  Entropy
+counts the distinct index rows from one stable lexicographic sort.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -35,30 +40,32 @@ def _helmert_rows(n: int) -> np.ndarray:
     return h
 
 
-def _glue_vectors(n: int) -> np.ndarray:
+@functools.cache
+def _glue_vectors(n: int) -> tuple[tuple[float, ...], ...]:
     """Coset representatives of A_n* over A_n in R^(n+1) coordinates."""
-    glue = np.zeros((n + 1, n + 1))
-    for c in range(1, n + 1):
-        glue[c, : n + 1 - c] = c / (n + 1.0)
-        glue[c, n + 1 - c:] = c / (n + 1.0) - 1.0
-    return glue
+    glue = []
+    for c in range(n + 1):
+        frac = c / (n + 1.0)
+        glue.append((frac,) * (n + 1 - c) + (frac - 1.0,) * c)
+    return tuple(glue)
 
 
-def _decode_sum_zero(y: np.ndarray) -> np.ndarray:
-    """Nearest point of A_n (sum-zero integer vectors) for each row of y.
-
-    Rounds coordinate-wise, then repairs the sum defect at the coordinates
-    whose rounding residual makes the repair cheapest.
-    """
-    f = np.round(y)
-    delta = y - f
-    defect = np.rint(f.sum(axis=-1)).astype(np.int64)
-    rank = np.argsort(np.argsort(delta, axis=-1, kind="stable"),
-                      axis=-1, kind="stable")
-    pos = defect[..., None]
-    f -= ((pos > 0) & (rank < pos)).astype(float)
-    f += ((pos < 0) & (rank >= y.shape[-1] + pos)).astype(float)
-    return f
+def _sum_sq(a: list[float], b: list[float]) -> float:
+    """sum((a - b) ** 2) for up to 15 terms, added in the order of numpy's
+    pairwise sum: one running sum below 8 terms, else eight partial sums
+    combined as a tree, then the rest.  Python's built-in ``sum`` rounds
+    differently on newer interpreters, so the sums are spelled out."""
+    sq = [(x - y) * (x - y) for x, y in zip(a, b)]
+    if len(sq) < 8:
+        acc = 0.0
+        for v in sq:
+            acc += v
+        return acc
+    acc = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5])
+                                                 + (sq[6] + sq[7]))
+    for v in sq[8:]:
+        acc += v
+    return acc
 
 
 @dataclass(frozen=True)
@@ -110,31 +117,53 @@ class Lattice:
             raise ValueError(f"points must have dimension {self.n}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        y = pts / self.scale
         if self.family == "integer_Z":
-            dec = np.round(y)
+            out = np.round(pts / self.scale) * self.scale
         else:
-            dec = self._decode_a_star(y)
-        out = dec * self.scale
+            out = np.array([self._nearest_one(row) for row in pts.tolist()])
         return out[0] if single else out
 
-    def _decode_a_star(self, y: np.ndarray) -> np.ndarray:
-        hyper = y @ self.lift  # (N, n+1)
-        glue = _glue_vectors(self.n)
-        cands = np.empty((self.n + 1,) + hyper.shape)
-        for c in range(self.n + 1):
-            cands[c] = _decode_sum_zero(hyper - glue[c]) + glue[c]
-        d2 = np.sum((hyper[None] - cands) ** 2, axis=-1)  # (n+1, N)
-        best = np.argmin(d2, axis=0)
-        rows = np.arange(hyper.shape[0])
-        chosen = cands[best, rows]
-        tied = np.sum(d2 <= d2[best, rows] + TIE_TOL, axis=0) > 1
-        for i in np.flatnonzero(tied):
-            chosen[i] = self._break_tie(hyper[i], cands[:, i],
-                                        d2[:, i], d2[best[i], i])
-        return chosen @ self.lift.T
+    def _nearest_one(self, x: list[float]) -> list[float]:
+        """Nearest point of the scaled A_n* to one point x of R^n.
 
-    def _break_tie(self, point, cands, d2, d2min):
+        Conway & Sloane's coset decode, one vector at a time in Python
+        floats: in the sum-zero hyperplane of R^(n+1), for each of the
+        n + 1 glue cosets of A_n, round every coordinate (half to even,
+        like ``np.round``), then repair the sum defect at the coordinates
+        whose rounding residuals make the repair cheapest, taken in stable
+        sorted order; keep the closest coset point.  The two linear maps
+        stay numpy products on a (1, n) row, so a point decodes to the same
+        bits alone or in a batch.
+        """
+        t = self.scale
+        hyper = (np.array([[xi / t for xi in x]]) @ self.lift)[0].tolist()
+        m = self.n + 1
+        cands, d2 = [], []
+        for g in _glue_vectors(self.n):
+            r = [h - gj for h, gj in zip(hyper, g)]
+            f = [round(v) for v in r]
+            defect = sum(f)
+            if defect:
+                delta = [v - k for v, k in zip(r, f)]
+                order = sorted(range(m), key=delta.__getitem__)
+                if defect > 0:
+                    for j in order[:defect]:
+                        f[j] -= 1
+                else:
+                    for j in order[max(m + defect, 0):]:
+                        f[j] += 1
+            cand = [k + gj for k, gj in zip(f, g)]
+            cands.append(cand)
+            d2.append(_sum_sq(hyper, cand))
+        low = sorted(d2)
+        if low[1] <= low[0] + TIE_TOL:
+            chosen = self._break_tie(np.array(cands), np.array(d2), low[0])
+        else:
+            chosen = cands[d2.index(low[0])]
+        point = (np.array([chosen]) @ self.lift.T)[0].tolist()
+        return [v * t for v in point]
+
+    def _break_tie(self, cands, d2, d2min):
         # Even coordinate sum first, then lexicographic order, on the
         # integer coordinates in the lattice basis. Measure-zero event;
         # the rule only pins down replayability.
@@ -260,6 +289,15 @@ class EntropyEstimate:
     samples: int
 
 
+def _row_counts(data: np.ndarray) -> np.ndarray:
+    """Occurrences of each distinct row, in lexicographic row order (the
+    counts of ``np.unique(data, axis=0)``), from one stable sort."""
+    rows = data[np.lexsort(data.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(rows[1:] != rows[:-1], axis=1))))
+    return np.diff(starts, append=rows.shape[0])
+
+
 def empirical_entropy(indices, burn_in: int = 0) -> EntropyEstimate:
     """Plug-in entropy (nats) of the post-burn-in index marginal.
 
@@ -274,7 +312,7 @@ def empirical_entropy(indices, burn_in: int = 0) -> EntropyEstimate:
     if data.shape[0] < MIN_ENTROPY_SAMPLES:
         raise ValueError(
             f"need at least {MIN_ENTROPY_SAMPLES} samples past burn-in")
-    _, counts = np.unique(data, axis=0, return_counts=True)
+    counts = _row_counts(data)
     p = counts / counts.sum()
     plug_in = float(-(p * np.log(p)).sum())
     mm = plug_in + (len(counts) - 1) / (2.0 * data.shape[0])

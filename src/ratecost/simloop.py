@@ -13,6 +13,9 @@ simulator is one engine built on the separation structure b = c + e + d:
    eps_i = wrap(W^{1/2} A W^{-1/2} eps_{i-1} + W^{1/2} xi_i), where wrap
    subtracts the nearest lattice point.  It does not depend on the control.
    Before step 0, s_hat = 0 and u = 0, so xi_0 is the first innovation.
+   Its loop runs on Python floats for every lattice (no numpy call per
+   step on the integers, two small products per step on A_n*) and gives
+   the same bits as ``Lattice.nearest``.
 3. Linear passes compute the rest: the closed-loop state (a stable linear
    filter of v and the total error x - s_hat), the control, the c/e/d
    terms, the digest and the audits.  The per-step weighted error is
@@ -136,9 +139,9 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     """The coder error recursion eps_i = q_i - Q(q_i), q_i = M eps_{i-1} + h_i.
 
     Returns the quantizer inputs q and the chosen lattice points, one row
-    per step.  The loop body is chosen by lattice family: plain floats on
-    the integers (the same bits as ``Lattice.nearest``), the lattice's own
-    nearest-point decoder otherwise.
+    per step.  Both loop bodies run on plain floats and give the same bits
+    as ``Lattice.nearest``: rounding on the integers, the lattice's
+    one-vector decoder on A_n*, with q summed in column order like ``_mv``.
     """
     horizon, n = h.shape
     if lattice.family == "integer_Z":
@@ -151,18 +154,25 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
             qs.append(q)
             ps.append(p)
         return np.frombuffer(qs)[:, None], np.frombuffer(ps)[:, None]
-    qs, ps = np.empty((horizon, n)), np.empty((horizon, n))
-    eps = np.zeros(n)
-    for i in range(horizon):
-        q = _mv(m_mat, eps) + h[i]
-        p = lattice.nearest(q)
-        eps = q - p
-        qs[i] = q
-        ps[i] = p
-    return qs, ps
+    rows = m_mat.tolist()
+    eps = [0.0] * n
+    qs, ps = array("d"), array("d")
+    for hi in h.tolist():
+        q = []
+        for row, hr in zip(rows, hi):
+            acc = eps[0] * row[0]
+            for j in range(1, n):
+                acc += eps[j] * row[j]
+            q.append(acc + hr)
+        p = lattice._nearest_one(q)
+        eps = [qr - pr for qr, pr in zip(q, p)]
+        qs.extend(q)
+        ps.extend(p)
+    return (np.frombuffer(qs).reshape(horizon, n),
+            np.frombuffer(ps).reshape(horizon, n))
 
 
-def _whitening(weight: np.ndarray):
+def whitening(weight: np.ndarray):
     """(W^{1/2}, W^{-1/2}); the lattice coder needs a nonsingular W."""
     n, rank = weight.shape[0], numerical_rank(weight)
     if rank < n:
@@ -191,7 +201,7 @@ def run(cfg: SimConfig) -> SimResult:
     weight = plant.A.T @ ctrl.M @ plant.A
     gain = ctrl.L @ plant.A
     if quantized:
-        w_sqrt, w_isqrt = _whitening(weight)
+        w_sqrt, w_isqrt = whitening(weight)
         lattice = lattice_for_dimension(plant.n).scale_to_distortion(
             cfg.distortion)
 

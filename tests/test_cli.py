@@ -279,6 +279,23 @@ class TestDecomposeCommand:
         assert main(["decompose", "--config", path]) == 2
         assert "post-burn-in window" in capsys.readouterr().err
 
+    def test_short_window_refused_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        shipped = Path(__file__).parent.parent / "configs/laplace_scalar.json"
+        raw = json.loads(shipped.read_text())
+        raw["burn_in"] = 995_000
+        path = tmp_path / "short_window.json"
+        path.write_text(json.dumps(raw))
+
+        def no_run(sim):
+            raise AssertionError("decompose simulated a refused config")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main(["decompose", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: need a post-burn-in window of "
+                       "10000 steps\n")
+
 
 class TestValidateCommand:
     def test_scalar_plant_passes(self, tmp_path, capsys):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratecost.bounds import rho_covering
 from ratecost.quantizer import (
     DpcmCodec,
+    EntropyEstimate,
     a_star_lattice,
     empirical_entropy,
     integer_lattice,
@@ -13,6 +16,25 @@ from ratecost.quantizer import (
 )
 
 HAND_ENTROPY_QUARTER = 0.5623351446188083  # -(0.25 ln 0.25 + 0.75 ln 0.75)
+
+# Integer index the tie rule picks for the deep hole h of A_n*, for p + h
+# and for p - h, where p is the lattice point with index (1, -2, 3, ...).
+# Each input is an (n+1)-way tie; the values are frozen from the batched
+# coset decoder this one-vector decoder replaced.
+DEEP_HOLE_PICKS = {
+    2: ([0, 0], [1, -1], [0, -2]),
+    3: ([0, 0, 0], [1, -2, 3], [1, -2, 3]),
+    4: ([0, 0, 0, 0], [1, -2, 3, -4], [1, -2, 3, -4]),
+    5: ([0, 0, 0, 0, 0], [1, -2, 3, -4, 6], [0, -2, 3, -4, 5]),
+    6: ([0] * 6, [1, -2, 3, -4, 5, -5], [0, -2, 3, -4, 5, -6]),
+    7: ([0] * 7, [1, -2, 3, -4, 5, -6, 7], [1, -2, 3, -4, 5, -6, 7]),
+    8: ([0] * 8, [1, -2, 3, -4, 5, -6, 7, -8], [1, -2, 3, -4, 5, -6, 7, -8]),
+}
+
+
+def deep_hole(lat):
+    n = lat.n
+    return ((n / 2.0 - np.arange(n + 1)) / (n + 1.0)) @ lat.lift.T
 
 
 class TestIntegerLattice:
@@ -69,10 +91,35 @@ class TestAStarLattice:
         # Voronoi-cell vertex: the permutohedron corner at
         # (n/2, n/2-1, ..., -n/2) / (n+1) in hyperplane coordinates.
         lat = a_star_lattice(n)
-        hole_hyper = (n / 2.0 - np.arange(n + 1)) / (n + 1.0)
-        hole = hole_hyper @ lat.lift.T
+        hole = deep_hole(lat)
         dist = np.linalg.norm(hole - lat.nearest(hole))
         assert math.isclose(dist, lat.covering_radius, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_deep_hole_tie_pick_is_frozen(self, n):
+        lat = a_star_lattice(n)
+        hole = deep_hole(lat)
+        shift = lat.point_of(np.arange(1, n + 1) * (-1) ** np.arange(n))
+        picks = [lat.index_of(lat.nearest(x)).tolist()
+                 for x in (hole, hole + shift, shift - hole)]
+        assert picks == list(DEEP_HOLE_PICKS[n])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_batch_equals_row_by_row(self, n):
+        lat = a_star_lattice(n).scale_to_distortion(1.7)
+        rng = np.random.default_rng(40 + n)
+        pts = rng.normal(size=(400, n)) * 5.0
+        rows = np.array([lat.nearest(x) for x in pts])
+        assert lat.nearest(pts).tobytes() == rows.tobytes()
+
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+               st.floats(-100.0, 100.0), min_size=n, max_size=n)),
+           st.floats(1e-3, 1e3))
+    def test_nearest_within_covering_radius(self, x, d):
+        lat = a_star_lattice(len(x)).scale_to_distortion(d)
+        p = lat.nearest(np.array(x))
+        assert np.linalg.norm(np.array(x) - p) <= lat.covering_radius + 1e-12
+        lat.index_of(p)  # raises unless p is a lattice point
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_nearest_agrees_with_brute_force(self, n):
@@ -220,6 +267,25 @@ class TestEmpiricalEntropy:
         rng = np.random.default_rng(2)
         est = empirical_entropy(rng.integers(0, 10, size=2000))
         assert est.miller_madow > est.plug_in
+
+    @given(st.integers(1, 4), st.integers(0, 40), st.integers(1, 30),
+           st.integers(0, 500), st.integers(0, 2**32 - 1))
+    def test_counts_match_unique_rows(self, n, span_bits, atoms, burn_in,
+                                      seed):
+        # rows drawn from a few distinct values in [-2^span, 2^span], so
+        # that counts repeat; compared with the np.unique(axis=0) counts
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2**span_bits, 2**span_bits, size=atoms,
+                              endpoint=True)
+        data = values[rng.integers(0, atoms, size=(1200 + burn_in, n))]
+        _, counts = np.unique(data[burn_in:], axis=0, return_counts=True)
+        p = counts / counts.sum()
+        plug_in = float(-(p * np.log(p)).sum())
+        samples = 1200
+        expect = EntropyEstimate(plug_in,
+                                 plug_in + (len(counts) - 1) / (2.0 * samples),
+                                 len(counts), samples)
+        assert empirical_entropy(data, burn_in=burn_in) == expect
 
     def test_burn_in_and_length_guard(self):
         data = np.zeros(1500, dtype=np.int64)
