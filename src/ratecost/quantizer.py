@@ -6,8 +6,9 @@ the thinnest known lattice covering in every dimension handled here; no
 dither is used anywhere.  A_n* decodes one vector at a time (Conway and
 Sloane's coset decode in the sum-zero hyperplane of R^(n+1), in Python
 floats), so a point gets the same bits alone or in a batch; the
-closed-loop engine calls the one-vector decoder on every step.  Entropy
-counts the distinct index rows from one stable lexicographic sort.
+closed-loop engine calls it on every step.  Only glue cosets that round
+to sum zero are candidates.  Entropy counts the distinct index rows from
+one stable lexicographic sort.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .bounds import psd_sqrt
 
 TIE_TOL = 1e-12
-INDEX_ATOL = 1e-9
+INDEX_ATOL = 1e-9  # per unit of a row's largest coordinate, past 1
 MIN_ENTROPY_SAMPLES = 1000
 
 
@@ -48,24 +49,6 @@ def _glue_vectors(n: int) -> tuple[tuple[float, ...], ...]:
         frac = c / (n + 1.0)
         glue.append((frac,) * (n + 1 - c) + (frac - 1.0,) * c)
     return tuple(glue)
-
-
-def _sum_sq(a: list[float], b: list[float]) -> float:
-    """sum((a - b) ** 2) for up to 15 terms, added in the order of numpy's
-    pairwise sum: one running sum below 8 terms, else eight partial sums
-    combined as a tree, then the rest.  Python's built-in ``sum`` rounds
-    differently on newer interpreters, so the sums are spelled out."""
-    sq = [(x - y) * (x - y) for x, y in zip(a, b)]
-    if len(sq) < 8:
-        acc = 0.0
-        for v in sq:
-            acc += v
-        return acc
-    acc = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5])
-                                                 + (sq[6] + sq[7]))
-    for v in sq[8:]:
-        acc += v
-    return acc
 
 
 @dataclass(frozen=True)
@@ -126,54 +109,50 @@ class Lattice:
     def _nearest_one(self, x: list[float]) -> list[float]:
         """Nearest point of the scaled A_n* to one point x of R^n.
 
-        Conway & Sloane's coset decode, one vector at a time in Python
-        floats: in the sum-zero hyperplane of R^(n+1), for each of the
-        n + 1 glue cosets of A_n, round every coordinate (half to even,
-        like ``np.round``), then repair the sum defect at the coordinates
-        whose rounding residuals make the repair cheapest, taken in stable
-        sorted order; keep the closest coset point.  The two linear maps
-        stay numpy products on a (1, n) row, so a point decodes to the same
-        bits alone or in a batch.
+        Conway & Sloane's coset decode in Python floats: in the sum-zero
+        hyperplane of R^(n+1), for each glue coset g_c of A_n, round
+        y = hyper - g_c (half to even, like ``np.round``) to r and keep
+        r + g_c if r sums to zero; the closest kept point wins.  A coset
+        left with a defect k = sum(r) != 0 can never win or tie: projecting
+        r + g_c onto the hyperplane gives an A_n* point at |y - r|^2 -
+        k^2/(n+1), while every integer vector of sum zero is at >= |y - r|^2
+        (McKilliam, Clarkson & Quinn 2008), so a repaired point loses by
+        1/(n+1) >> ``TIE_TOL``.  This holds while |sum(hyper)| < 1/2, up to
+        about 1e15 in unit coordinates; a point with no zero-sum coset is
+        refused.  The two linear maps stay numpy products on a (1, n) row,
+        so a point decodes to the same bits alone or in a batch.
         """
         t = self.scale
         hyper = (np.array([[xi / t for xi in x]]) @ self.lift)[0].tolist()
-        m = self.n + 1
         cands, d2 = [], []
         for g in _glue_vectors(self.n):
-            r = [h - gj for h, gj in zip(hyper, g)]
-            f = [round(v) for v in r]
-            defect = sum(f)
-            if defect:
-                delta = [v - k for v, k in zip(r, f)]
-                order = sorted(range(m), key=delta.__getitem__)
-                if defect > 0:
-                    for j in order[:defect]:
-                        f[j] -= 1
-                else:
-                    for j in order[max(m + defect, 0):]:
-                        f[j] += 1
+            f = [round(h - gj) for h, gj in zip(hyper, g)]
+            if sum(f):
+                continue
             cand = [k + gj for k, gj in zip(f, g)]
+            acc = 0.0  # spelled out: sum() is compensated from Python 3.12
+            for h, c in zip(hyper, cand):
+                acc += (h - c) * (h - c)
             cands.append(cand)
-            d2.append(_sum_sq(hyper, cand))
-        low = sorted(d2)
-        if low[1] <= low[0] + TIE_TOL:
-            chosen = self._break_tie(np.array(cands), np.array(d2), low[0])
-        else:
-            chosen = cands[d2.index(low[0])]
+            d2.append(acc)
+        if not cands:
+            raise ValueError("point too large to decode on A_n* in double "
+                             "precision: no glue coset rounds to sum zero")
+        low = min(d2)
+        tied = [c for c, d in zip(cands, d2) if d <= low + TIE_TOL]
+        chosen = tied[0] if len(tied) == 1 else self._break_tie(tied)
         point = (np.array([chosen]) @ self.lift.T)[0].tolist()
         return [v * t for v in point]
 
-    def _break_tie(self, cands, d2, d2min):
+    def _break_tie(self, tied):
         # Even coordinate sum first, then lexicographic order, on the
         # integer coordinates in the lattice basis. Measure-zero event;
         # the rule only pins down replayability.
-        keys = []
-        for c in np.flatnonzero(d2 <= d2min + TIE_TOL):
-            z = np.linalg.solve(self.base_basis, cands[c] @ self.lift.T)
+        def key(cand):
+            z = np.linalg.solve(self.base_basis, np.array(cand) @ self.lift.T)
             z = np.rint(z).astype(np.int64)
-            keys.append((int(np.sum(z)) % 2, tuple(z), c))
-        keys.sort()
-        return cands[keys[0][2]]
+            return int(np.sum(z)) % 2, tuple(z)
+        return min(tied, key=key)
 
     def index_of(self, points) -> np.ndarray:
         """Integer coordinates of lattice points in the generator basis."""
@@ -182,7 +161,8 @@ class Lattice:
         pts = np.atleast_2d(pts) / self.scale
         z = np.linalg.solve(self.base_basis, pts.T).T
         zi = np.rint(z)
-        if not np.allclose(pts, zi @ self.base_basis.T, atol=INDEX_ATOL):
+        tol = INDEX_ATOL * np.maximum(1.0, abs(pts).max(1, keepdims=True))
+        if not np.all(np.abs(pts - zi @ self.base_basis.T) <= tol):
             raise ValueError("inputs are not lattice points")
         out = zi.astype(np.int64)
         return out[0] if single else out

@@ -14,13 +14,13 @@ simulator is one engine built on the separation structure b = c + e + d:
    subtracts the nearest lattice point.  It does not depend on the control.
    Before step 0, s_hat = 0 and u = 0, so xi_0 is the first innovation.
    Its loop runs on Python floats for every lattice (no numpy call per
-   step on the integers, two small products per step on A_n*) and gives
-   the same bits as ``Lattice.nearest``.
+   step on the integers; on A_n*, two small products and the zero-sum
+   coset decode) and gives the same bits as ``Lattice.nearest``.
 3. Linear passes compute the rest: the closed-loop state (a stable linear
-   filter of v and the total error x - s_hat), the control, the c/e/d
-   terms, the digest and the audits.  The per-step weighted error is
-   recomputed from the emitted indices through ``Lattice.point_of`` and
-   must stay within the design distortion d on every step.
+   filter of v and the total error x - s_hat, stepped on Python floats),
+   the control, the c/e/d terms, the digest and the audits.  The per-step
+   weighted error is recomputed from the emitted indices through
+   ``Lattice.point_of`` and must stay within the design distortion d.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import psd_sqrt, rate_sandwich
-from .quantizer import EntropyEstimate, empirical_entropy, lattice_for_dimension
+from .quantizer import (MIN_ENTROPY_SAMPLES, EntropyEstimate,
+                        empirical_entropy, lattice_for_dimension)
 from .riccati import b_min, solve_control, solve_filter
 from .sysmodel import LinearPlant, numerical_rank
 
@@ -62,6 +63,10 @@ class SimConfig:
             raise ValueError("horizon must exceed burn_in")
         if self.distortion is not None and self.distortion <= 0:
             raise ValueError("distortion must be positive when set")
+        if (self.distortion is not None
+                and self.horizon - self.burn_in < MIN_ENTROPY_SAMPLES):
+            raise ValueError(
+                f"need at least {MIN_ENTROPY_SAMPLES} samples past burn-in")
 
 
 @dataclass(frozen=True)
@@ -110,29 +115,39 @@ def _quad(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray,
                    lim: float = math.inf):
-    """y_{i+1} = F y_i + drive_i from y_0.
+    """y_{i+1} = F y_i + drive_i from y_0, stepped on Python floats.
 
     Returns (rows y_0 .. y_{k-1}, diverged), where y_k is the first iterate
-    whose norm reaches ``lim``; k is the horizon when none does.
+    whose norm reaches ``lim``; k is the horizon when none does.  Rows of
+    F y sum in ``_mv``'s column order; ``np.linalg.norm`` decides every
+    step whose float sum of squares is not below (lim/2)^2, NaN included.
     """
-    horizon, n = drive.shape
+    n = drive.shape[1]
+    out = array("d")
     if n == 1:
         f, y = float(f_mat[0, 0]), float(y0[0])
-        out = array("d")
         for r in memoryview(np.ascontiguousarray(drive[:, 0])):
             out.append(y)
             y = f * y + r
             if not -lim < y < lim:
                 return np.frombuffer(out)[:, None], True
         return np.frombuffer(out)[:, None], False
-    out = np.empty((horizon, n))
-    y = np.asarray(y0, dtype=float)
-    for i in range(horizon):
-        out[i] = y
-        y = _mv(f_mat, y) + drive[i]
-        if not np.linalg.norm(y) < lim:
-            return out[: i + 1], True
-    return out, False
+    rows, y = f_mat.tolist(), [float(v) for v in y0]
+    safe = (lim / 2.0) * (lim / 2.0)
+    for di in drive.tolist():
+        out.extend(y)
+        nxt, ss = [], 0.0
+        for row, dr in zip(rows, di):
+            acc = y[0] * row[0]
+            for j in range(1, n):
+                acc += y[j] * row[j]
+            acc += dr
+            nxt.append(acc)
+            ss += acc * acc
+        y = nxt
+        if not ss < safe and not np.linalg.norm(y) < lim:
+            return np.frombuffer(out).reshape(-1, n), True
+    return np.frombuffer(out).reshape(-1, n), False
 
 
 def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ratecost
-from ratecost import cli
+from ratecost import cli, simloop
 from ratecost.riccati import solve_control
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
@@ -295,6 +295,25 @@ class TestDecomposeCommand:
         err = capsys.readouterr().err
         assert err == ("config error: need a post-burn-in window of "
                        "10000 steps\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_short_entropy_window_refused_before_the_run(tmp_path, capsys,
+                                                     monkeypatch, command):
+    shipped = Path(__file__).parent.parent / "configs/laplace_scalar.json"
+    raw = json.loads(shipped.read_text())
+    raw["burn_in"] = 999_500
+    path = tmp_path / "short_window.json"
+    path.write_text(json.dumps(raw))
+
+    def no_run(sim):
+        raise AssertionError(f"{command} simulated a refused config")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(simloop, "run", no_run)  # sweep's own runs
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: need at least 1000 samples past burn-in\n")
 
 
 class TestValidateCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,9 +33,41 @@ DEEP_HOLE_PICKS = {
 }
 
 
+# sha256 of ``nearest`` on ``decode_set(n)``, frozen from the coset decoder
+# that still repaired the sum defect of every coset.
+DECODE_SHA256 = {
+    2: "8c7bbeffc6ecbe0eb95c2c0965a937241350023d62d52d8bd2cc0617e67e2a48",
+    3: "fb55a53d3f9cf1e12900c0221a21714c1725c7d583b235bab7b453fff286ecf5",
+    4: "b4fd20c0050b31d492dd61b4059a1bd2850c865cee69852b746b48708fbbc6fd",
+    5: "4b689f3a2a47fb58b503447fc78d1a075a5168e407914ff3ca71687137581c8b",
+    6: "c521b4708b1b40cc4f1f40c66a8a106d7f23c0313fdbe2af204610fb9da99dc2",
+    7: "49216ea5ae88e63f5be90761d5618a980f1839bfe188c4ab8a9ffaa77fd5998d",
+    8: "83948c7f19402b6141e542b7e21d5eaea586173312bc61072433fbf430965479",
+}
+
+
 def deep_hole(lat):
     n = lat.n
     return ((n / 2.0 - np.arange(n + 1)) / (n + 1.0)) @ lat.lift.T
+
+
+def decode_set(n):
+    """A scaled A_n* and 1000 seeded inputs: Gaussian points at three
+    scales, lattice points, midpoints between lattice points and neighbours,
+    and lattice points plus permuted deep holes (each an (n+1)-way tie)."""
+    lat = a_star_lattice(n).scale_to_distortion(0.7)
+    rng = np.random.default_rng(500 + n)
+    z = rng.integers(-50, 51, size=(100, n))
+    on = lat.point_of(z)
+    unit = lat.point_of(np.eye(n, dtype=np.int64))
+    mid = on + unit[rng.integers(0, n, size=100)] / 2.0
+    hole = (n / 2.0 - np.array([rng.permutation(n + 1) for _ in range(100)])
+            ) / (n + 1.0) @ lat.lift.T * lat.scale + on
+    pts = np.concatenate([rng.normal(size=(300, n)) * 3.0,
+                          rng.normal(size=(100, n)) * 1e6,
+                          rng.normal(size=(100, n)) * 1e-8,
+                          on, (on + on[::-1]) / 2.0, mid, hole])
+    return lat, pts
 
 
 class TestIntegerLattice:
@@ -105,6 +138,37 @@ class TestAStarLattice:
         assert picks == list(DEEP_HOLE_PICKS[n])
 
     @pytest.mark.parametrize("n", range(2, 9))
+    def test_decode_is_frozen(self, n):
+        lat, pts = decode_set(n)
+        digest = hashlib.sha256(lat.nearest(pts).tobytes()).hexdigest()
+        assert digest == DECODE_SHA256[n]
+
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+        st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    def test_cosets_with_a_sum_defect_lose(self, x):
+        # Rounding y = hyper - g_c to r with k = sum(r) != 0: every integer
+        # vector of sum zero is at >= |y - r|^2, which exceeds the decoded
+        # distance by at least 1/(n+1), so no repair of that coset can win.
+        n = len(x)
+        lat = a_star_lattice(n)
+        hyper = np.array(x) @ lat.lift
+        best = np.sum((hyper - lat.nearest(np.array(x)) @ lat.lift) ** 2)
+        for c in range(n + 1):
+            y = hyper - (c / (n + 1.0) - (np.arange(n + 1) >= n + 1 - c))
+            r = np.round(y)
+            if r.sum() != 0:
+                assert np.sum((y - r) ** 2) >= best + 1.0 / (n + 1) - 1e-3
+
+    def test_far_point_is_refused(self):
+        # At 1e17 a double has no fractional part, the lift's rounding
+        # leaves the hyperplane, and this point has no coset that rounds to
+        # sum zero; the repairing decoder returned a point 35 covering radii
+        # away.
+        x = np.random.default_rng(2).normal(size=2) * 1e17
+        with pytest.raises(ValueError, match="double precision"):
+            a_star_lattice(2).nearest(x)
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_batch_equals_row_by_row(self, n):
         lat = a_star_lattice(n).scale_to_distortion(1.7)
         rng = np.random.default_rng(40 + n)
@@ -151,10 +215,25 @@ class TestAStarLattice:
         assert np.array_equal(lat.index_of(pts), z)
         assert np.allclose(lat.point_of(lat.index_of(pts)), pts, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_index_round_trip_at_large_coordinates(self, n):
+        lat = a_star_lattice(n).scale_to_distortion(2.0)
+        rng = np.random.default_rng(60 + n)
+        z = rng.integers(-10**7, 10**7 + 1, size=(200, n))
+        assert np.array_equal(lat.index_of(lat.point_of(z)), z)
+
     def test_index_rejects_non_lattice_points(self):
         lat = a_star_lattice(2)
         with pytest.raises(ValueError, match="not lattice"):
             lat.index_of(np.array([0.3, 0.4]))
+
+    def test_index_rejects_off_lattice_points_at_large_coordinates(self):
+        # a relative tolerance of 1e-5 used to accept both
+        with pytest.raises(ValueError, match="not lattice"):
+            integer_lattice().index_of([100000.4])
+        lat = a_star_lattice(2)
+        with pytest.raises(ValueError, match="not lattice"):
+            lat.index_of(lat.point_of([300000, -200000]) + 0.3)
 
     def test_decoded_points_are_lattice_points(self):
         lat = a_star_lattice(4)

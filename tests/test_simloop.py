@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from sim_oracle import oracle_digest
+from sim_oracle import mv, oracle_digest
 
 from ratecost.riccati import b_min, solve_control, solve_filter
-from ratecost.simloop import SimConfig, TradeoffPoint, run, sweep
+from ratecost.simloop import (SimConfig, TradeoffPoint, _linear_filter, run,
+                              sweep)
 from ratecost.sysmodel import LinearPlant, NoiseModel
 
 BMIN_FULL = 4.23606797749979
@@ -27,9 +28,22 @@ def scalar_partial_plant():
                        noise_w=NoiseModel("gaussian", [[1.0]]))
 
 
-def two_dim_plant():
+def two_dim_plant(x1_var=None):
+    x1 = None if x1_var is None else NoiseModel("gaussian", x1_var * np.eye(2))
     return LinearPlant(np.array([[1.4, 0.2], [0.0, 0.5]]), np.eye(2),
-                       np.eye(2), np.eye(2), NoiseModel("gaussian", np.eye(2)))
+                       np.eye(2), np.eye(2), NoiseModel("gaussian", np.eye(2)),
+                       noise_x1=x1)
+
+
+def numpy_filter(f_mat, drive, y0, lim):
+    """The matrix filter stepped on numpy rows, norm-tested every step."""
+    out, y = [], np.asarray(y0, dtype=float)
+    for d in drive:
+        out.append(y)
+        y = mv(f_mat, y) + d
+        if not np.linalg.norm(y) < lim:
+            return np.array(out), True
+    return np.array(out), False
 
 
 class TestConfig:
@@ -44,6 +58,12 @@ class TestConfig:
     def test_rejects_nonpositive_distortion(self):
         with pytest.raises(ValueError, match="distortion"):
             SimConfig(scalar_plant(), 2000, 0.0)
+
+    def test_rejects_short_entropy_window(self):
+        with pytest.raises(ValueError, match="1000 samples past burn-in"):
+            SimConfig(scalar_plant(), 1_999, 1.0)
+        SimConfig(scalar_plant(), 2_000, 1.0)
+        SimConfig(scalar_plant(), 1_001, None)  # no entropy, no window
 
 
 class TestOracle:
@@ -171,6 +191,38 @@ class TestMatrixPlant:
         ctrl = solve_control(plant)
         bmin = b_min(plant, ctrl)
         assert res.b_hat > bmin
+
+
+    def test_two_dim_diverged_run_bitwise_equal(self):
+        cfg = SimConfig(two_dim_plant(x1_var=1e26), 5_000, 1.0, seed=0)
+        res = run(cfg)
+        assert res.diverged
+        assert res.digest == oracle_digest(cfg)
+
+    @pytest.mark.parametrize("case", ["stable", "diverges", "nan", "overflow",
+                                      "at_limit"])
+    def test_matrix_filter_matches_numpy_steps(self, case):
+        rng = np.random.default_rng(8)
+        f_mat = rng.normal(size=(3, 3))
+        f_mat *= 0.9 / np.abs(np.linalg.eigvals(f_mat)).max()
+        drive = rng.normal(size=(400, 3)) * 100.0
+        y0, lim = rng.normal(size=3), 1e12
+        if case == "stable":
+            lim = math.inf
+        elif case == "diverges":
+            f_mat *= 1.5
+        elif case == "nan":
+            drive[123, 1] = math.nan
+        elif case == "overflow":
+            f_mat, lim = np.eye(3) * 1e200, math.inf
+        else:  # the norm lands on the limit exactly
+            f_mat, drive = np.eye(3), np.zeros((50, 3))
+            y0, lim = np.array([3e11, 4e11, 0.0]), 5e11
+        with np.errstate(over="ignore"):
+            rows, diverged = _linear_filter(f_mat, drive, y0, lim)
+            ref, ref_diverged = numpy_filter(f_mat, drive, y0, lim)
+        assert diverged == ref_diverged == (case != "stable")
+        assert rows.tobytes() == ref.tobytes()
 
 
 class TestSweep:
