@@ -97,24 +97,22 @@ class InfimumBound:
     """Result of a determinant-ratio infimum bound (rank-deficient cases)."""
 
     nats: float
-    a: float
-    w: float
     converged: bool
-    i_max: int
 
 
 def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
-                       d: float, i_max: int = DEFAULT_I_MAX) -> InfimumBound:
+                       d: float) -> InfimumBound:
     """Low-rank causal SLB for sources s_{i+1} = A s_i + K v'_i with weight
     W = L^T L, rank m = rows(L) <= k = cols(K) <= n.
 
     Evaluates (m/2) log(a^2 + w N(v')^{k/m} / (d/m)) with
       a = inf_i [det(L A^i K Cov Kt A^it Lt) / (det Cov det(L Lt) det(Kt K))]^(1/(2 i m))
       w = (det(L Lt) det(Kt K))^(1/m)
-    The infimum is truncated at i_max (running minimum).  Terms are dropped
-    once A^i is so ill conditioned that the product has no significant digits
-    left in its smallest direction; the sequence limit, the geometric mean of
-    the m largest |eig(A)|, joins the minimum in their place.  ``converged``
+    The infimum is truncated at DEFAULT_I_MAX terms (running minimum).
+    Terms are dropped once A^i is so ill conditioned that the product has no
+    significant digits left in its smallest direction; the sequence limit,
+    the geometric mean of the m largest |eig(A)|, joins the minimum in their
+    place.  ``converged``
     records whether the kept terms stabilised or reached that limit.
     """
     if d <= 0:
@@ -139,7 +137,7 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
     cov_half = psd_sqrt(cov)
     a_terms: list[float] = []
     a_pow = np.eye(n)
-    for i in range(1, i_max + 1):
+    for i in range(1, DEFAULT_I_MAX + 1):
         a_pow = a_pow @ a
         if not np.all(np.isfinite(a_pow)):
             break
@@ -153,9 +151,6 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
         svals = np.linalg.svd((mat / scale) @ cov_half, compute_uv=False)
         if svals[-1] <= 1e-5 * svals[0]:
             break  # roundoff floor of A^i: later terms carry no information
-        if svals[-1] == 0.0:
-            a_terms.append(0.0)
-            continue
         log_num = 2.0 * (m * math.log(scale) + float(np.sum(np.log(svals))))
         a_terms.append(math.exp((log_num - log_den) / (2.0 * i * m)))
     if not a_terms:
@@ -170,7 +165,7 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
     log_w = (_logdet(l @ l.T) + _logdet(k.T @ k)) / m
     w = math.exp(log_w) if math.isfinite(log_w) else 0.0
     nats = 0.5 * m * math.log(a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d)
-    return InfimumBound(nats=nats, a=a_inf, w=w, converged=converged, i_max=i_max)
+    return InfimumBound(nats=nats, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +221,18 @@ def make_projection(
         return ProjectionSpec(j=np.eye(n), j_inv=np.eye(n), ell=0,
                               a_prime=0.0, mu_prime=0.0)
 
-    mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-    if ell == n:
-        j_mat, a_prime_mat = _ordered_basis(a, cut_sq=-1.0)
-    else:
+    # At ell = n the cut -1 keeps every eigenvalue: LAPACK then reorders
+    # nothing and returns the unsorted Schur form.
+    cut_sq = -1.0
+    if ell < n:
+        mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
         if mags[ell - 1] - mags[ell] < 1e-12:
             raise ValueError(
                 f"cannot separate modes: |eig| {mags[ell - 1]:.6g} vs "
                 f"{mags[ell]:.6g} at ell={ell}"
             )
         cut_sq = 0.5 * (mags[ell - 1] ** 2 + mags[ell] ** 2)
-        j_mat, a_prime_mat = _ordered_basis(a, cut_sq=cut_sq, want=ell)
+    j_mat, a_prime_mat = _ordered_basis(a, cut_sq, ell)
     j_inv = j_mat.T  # orthogonal
 
     if not np.allclose(a_prime_mat[:ell, ell:], 0.0, atol=1e-9):
@@ -268,15 +264,13 @@ def make_projection(
                           mu_prime=mu_prime)
 
 
-def _ordered_basis(a: np.ndarray, cut_sq: float, want: int | None = None):
-    """Schur basis of A with |eig|^2 >= cut_sq clustered leading.
+def _ordered_basis(a: np.ndarray, cut_sq: float, want: int):
+    """Schur basis of A with the want eigenvalues of |eig|^2 >= cut_sq
+    clustered leading.
 
     Returns (J, A') with A = J A' J^T, J orthogonal, A' block
     lower-quasi-triangular (Schur of A^T, transposed back).
     """
-    if want is None:
-        t_mat, z_mat = schur(a.T, output="real")
-        return z_mat, t_mat.T
     t_mat, z_mat, sdim = schur(
         a.T, output="real", sort=lambda re, im: re * re + im * im >= cut_sq
     )
@@ -374,13 +368,13 @@ def _weighted_gain_rows(control: ControlRiccati) -> np.ndarray:
 
 
 def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source,
-             b: float, i_max: int) -> InfimumBound:
+             b: float) -> InfimumBound:
     """Coding s'' = A s under the weight M = L_w^T L_w, driven by A K z: the
     low-rank causal SLB with gain A K."""
     slack = _require_feasible(b, src.bmin)
     return causal_slb_lowrank(
         plant.A, _weighted_gain_rows(control), plant.A @ src.gain,
-        src.z.covariance, src.z.entropy_power, slack, i_max=i_max,
+        src.z.covariance, src.z.entropy_power, slack,
     )
 
 
@@ -411,17 +405,16 @@ def lower_bound_partial_projected(plant: LinearPlant, control: ControlRiccati,
     return _projected(plant, control, _source(plant, control, filt), b, proj)
 
 
-def lower_bound_lowrank(plant: LinearPlant, control: ControlRiccati, b: float,
-                        i_max: int = DEFAULT_I_MAX) -> InfimumBound:
+def lower_bound_lowrank(plant: LinearPlant, control: ControlRiccati,
+                        b: float) -> InfimumBound:
     """Fully observed converse for m < n control inputs (gain A K = A)."""
-    return _lowrank(plant, control, _source(plant, control), b, i_max)
+    return _lowrank(plant, control, _source(plant, control), b)
 
 
 def lower_bound_partial_lowrank(plant: LinearPlant, control: ControlRiccati,
-                                filt: FilterRiccati, b: float,
-                                i_max: int = DEFAULT_I_MAX) -> InfimumBound:
+                                filt: FilterRiccati, b: float) -> InfimumBound:
     """Partially observed converse for m <= k <= n (gain A K)."""
-    return _lowrank(plant, control, _source(plant, control, filt), b, i_max)
+    return _lowrank(plant, control, _source(plant, control, filt), b)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +460,7 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
     n = plant.n
     rho = 1.0 if n == 1 else rho_covering(n)
     src = _source(plant, control, filt)
-    w_mat = plant.A.T @ control.M @ plant.A
+    w_mat = control.W
     first_terms = _converse(plant, control, src, b)
     noise_cov = src.jump.covariance
     reg = src.jump.regularity

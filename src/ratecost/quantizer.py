@@ -23,7 +23,8 @@ import numpy as np
 from .bounds import psd_sqrt
 
 TIE_TOL = 1e-12
-INDEX_ATOL = 1e-9  # per unit of a row's largest coordinate, past 1
+INDEX_ATOL = 1e-12  # per unit of a row's largest coordinate, past 1
+INDEX_LIMIT = 2.0 ** 63  # indices are int64
 MIN_ENTROPY_SAMPLES = 1000
 
 
@@ -155,7 +156,9 @@ class Lattice:
         return min(tied, key=key)
 
     def index_of(self, points) -> np.ndarray:
-        """Integer coordinates of lattice points in the generator basis."""
+        """Integer coordinates of lattice points in the generator basis; a
+        decoded point is within about 1e-16 relative, far inside
+        ``INDEX_ATOL``, and its index must fit in int64."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts) / self.scale
@@ -164,6 +167,10 @@ class Lattice:
         tol = INDEX_ATOL * np.maximum(1.0, abs(pts).max(1, keepdims=True))
         if not np.all(np.abs(pts - zi @ self.base_basis.T) <= tol):
             raise ValueError("inputs are not lattice points")
+        if not np.all(np.abs(zi) < INDEX_LIMIT):
+            raise ValueError(
+                f"lattice index does not fit in int64 at cell scale "
+                f"{self.scale:.6g}: the point is too far out for the cell")
         out = zi.astype(np.int64)
         return out[0] if single else out
 
@@ -179,12 +186,12 @@ class Lattice:
         return out[0] if single else out
 
 
-def integer_lattice(scale: float = 1.0) -> Lattice:
+def integer_lattice() -> Lattice:
     """The integers; the unique n=1 entry of the menu (rho = 1)."""
-    return Lattice("integer_Z", 1, np.eye(1), 0.5, scale)
+    return Lattice("integer_Z", 1, np.eye(1), 0.5)
 
 
-def a_star_lattice(n: int, scale: float = 1.0) -> Lattice:
+def a_star_lattice(n: int) -> Lattice:
     if not 2 <= n <= 8:
         raise ValueError("A_n* lattices are configured for 2 <= n <= 8")
     h = _helmert_rows(n)
@@ -196,11 +203,11 @@ def a_star_lattice(n: int, scale: float = 1.0) -> Lattice:
     # A_n* is the dual of A_n inside the hyperplane: inverse-transpose basis.
     base = np.linalg.inv(basis_an.T)
     r2 = n * (n + 2.0) / (12.0 * (n + 1.0))
-    return Lattice("a_n_star", n, base, math.sqrt(r2), scale, lift=h)
+    return Lattice("a_n_star", n, base, math.sqrt(r2), lift=h)
 
 
-def lattice_for_dimension(n: int, scale: float = 1.0) -> Lattice:
-    return integer_lattice(scale) if n == 1 else a_star_lattice(n, scale)
+def lattice_for_dimension(n: int) -> Lattice:
+    return integer_lattice() if n == 1 else a_star_lattice(n)
 
 
 class DpcmCodec:

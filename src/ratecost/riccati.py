@@ -35,12 +35,15 @@ class ControlRiccati:
 
     M = S B (R + B^T S B)^{-1} B^T S is the per-step cost curvature of the
     control channel and L = (R + B^T S B)^{-1} B^T S the static gain; the
-    certainty-equivalent control is u = -L A x_hat.
+    certainty-equivalent control is u = -L A x_hat.  W = A^T M A weighs a
+    state estimate's error: it prices the estimation term of b_min and the
+    coder's innovation error alike.
     """
 
     S: np.ndarray
     M: np.ndarray
     L: np.ndarray
+    W: np.ndarray
     gain_cost: np.ndarray  # R + B^T S B, the weight on control mismatch
     iterations: int
     residual: float
@@ -120,6 +123,7 @@ def solve_control(plant: LinearPlant) -> ControlRiccati:
         S=s,
         M=m,
         L=l_gain,
+        W=a.T @ m @ a,
         gain_cost=gain_cost,
         iterations=it,
         residual=residual,
@@ -171,10 +175,9 @@ def b_min(
     """Infimum of attainable LQR cost at unconstrained communication.
 
     tr(Sigma_V S) for a fully observed plant; partially observed plants pay
-    the additional irreducible estimation term tr(Sigma A^T M A).
+    the additional irreducible estimation term tr(Sigma W).
     """
     base = float(np.trace(plant.noise_v.covariance @ control.S))
     if filt is None:
         return base
-    w = plant.A.T @ control.M @ plant.A
-    return base + float(np.trace(filt.Sigma @ w))
+    return base + float(np.trace(filt.Sigma @ control.W))

@@ -16,6 +16,8 @@ simulator is one engine built on the separation structure b = c + e + d:
    Its loop runs on Python floats for every lattice (no numpy call per
    step on the integers; on A_n*, two small products and the zero-sum
    coset decode) and gives the same bits as ``Lattice.nearest``.
+   An input the lattice cannot decode ends the run at that step, which
+   is reported as a divergence.
 3. Linear passes compute the rest: the closed-loop state (a stable linear
    filter of v and the total error x - s_hat, stepped on Python floats),
    the control, the c/e/d terms, the digest and the audits.  The per-step
@@ -39,6 +41,8 @@ from .riccati import b_min, solve_control, solve_filter
 from .sysmodel import LinearPlant, numerical_rank
 
 DIVERGENCE_NORM = 1e12
+# what rounding an input raises when the lattice cannot decode it
+UNDECODABLE = (OverflowError, ValueError)
 BATCH_COUNT = 20
 DISTORTION_SLACK = 1e-9
 MIN_SWEEP_POINTS = 8
@@ -86,12 +90,12 @@ class SimResult:
     innovation_jump_cov: np.ndarray | None = None
 
 
-def _batch_se(series: np.ndarray, batches: int = BATCH_COUNT) -> float:
-    usable = (len(series) // batches) * batches
-    if usable < batches:
+def _batch_se(series: np.ndarray) -> float:
+    usable = (len(series) // BATCH_COUNT) * BATCH_COUNT
+    if usable < BATCH_COUNT:
         return math.nan
-    means = series[:usable].reshape(batches, -1).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(batches))
+    means = series[:usable].reshape(BATCH_COUNT, -1).mean(axis=1)
+    return float(np.std(means, ddof=1) / math.sqrt(BATCH_COUNT))
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -157,34 +161,40 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     per step.  Both loop bodies run on plain floats and give the same bits
     as ``Lattice.nearest``: rounding on the integers, the lattice's
     one-vector decoder on A_n*, with q summed in column order like ``_mv``.
+    The rows stop before the first input the lattice cannot decode: one
+    whose rounding overflows or is NaN, or one too far out for A_n*.
     """
-    horizon, n = h.shape
+    n = h.shape[1]
+    qs, ps = array("d"), array("d")
     if lattice.family == "integer_Z":
         m, t, eps = float(m_mat[0, 0]), lattice.scale, 0.0
-        qs, ps = array("d"), array("d")
-        for hi in memoryview(np.ascontiguousarray(h[:, 0])):
-            q = m * eps + hi
-            p = round(q / t) * t
-            eps = q - p
-            qs.append(q)
-            ps.append(p)
+        try:
+            for hi in memoryview(np.ascontiguousarray(h[:, 0])):
+                q = m * eps + hi
+                p = round(q / t) * t
+                eps = q - p
+                qs.append(q)
+                ps.append(p)
+        except UNDECODABLE:
+            pass
         return np.frombuffer(qs)[:, None], np.frombuffer(ps)[:, None]
     rows = m_mat.tolist()
     eps = [0.0] * n
-    qs, ps = array("d"), array("d")
-    for hi in h.tolist():
-        q = []
-        for row, hr in zip(rows, hi):
-            acc = eps[0] * row[0]
-            for j in range(1, n):
-                acc += eps[j] * row[j]
-            q.append(acc + hr)
-        p = lattice._nearest_one(q)
-        eps = [qr - pr for qr, pr in zip(q, p)]
-        qs.extend(q)
-        ps.extend(p)
-    return (np.frombuffer(qs).reshape(horizon, n),
-            np.frombuffer(ps).reshape(horizon, n))
+    try:
+        for hi in h.tolist():
+            q = []
+            for row, hr in zip(rows, hi):
+                acc = eps[0] * row[0]
+                for j in range(1, n):
+                    acc += eps[j] * row[j]
+                q.append(acc + hr)
+            p = lattice._nearest_one(q)
+            eps = [qr - pr for qr, pr in zip(q, p)]
+            qs.extend(q)
+            ps.extend(p)
+    except UNDECODABLE:
+        pass
+    return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
 
 
 def whitening(weight: np.ndarray):
@@ -213,10 +223,9 @@ def run(cfg: SimConfig) -> SimResult:
     quantized = cfg.distortion is not None
     ctrl = solve_control(plant)
     filt = solve_filter(plant) if partial else None
-    weight = plant.A.T @ ctrl.M @ plant.A
     gain = ctrl.L @ plant.A
     if quantized:
-        w_sqrt, w_isqrt = whitening(weight)
+        w_sqrt, w_isqrt = whitening(ctrl.W)
         lattice = lattice_for_dimension(plant.n).scale_to_distortion(
             cfg.distortion)
 
@@ -239,16 +248,18 @@ def run(cfg: SimConfig) -> SimResult:
         xi = np.concatenate([x0[None], v[:-1]])
         gap = np.zeros_like(v)
 
-    # 2. the sequential coder error recursion; gap = x - s_hat
+    # 2. the sequential coder error recursion; gap = x - s_hat.  A coder
+    # input it cannot decode cuts the run there, as a divergence.
     if quantized:
         m_mat = w_sqrt @ plant.A @ w_isqrt
         q_in, points = _wrap(lattice, m_mat, _mv(w_sqrt, xi))
-        gap = gap + _mv(w_isqrt, q_in - points)
+        gap = gap[:len(q_in)] + _mv(w_isqrt, q_in - points)
 
     # 3. linear passes: state, control, audits, cost terms
     bg = plant.B @ gain
-    xs, diverged = _linear_filter(plant.A - bg, _mv(bg, gap) + v, x0,
-                                  DIVERGENCE_NORM)
+    xs, diverged = _linear_filter(plant.A - bg, _mv(bg, gap) + v[:len(gap)],
+                                  x0, DIVERGENCE_NORM)
+    diverged = diverged or len(gap) < cfg.horizon
     steps = xs.shape[0]
     us = -_mv(gain, xs - gap[:steps])
     if quantized:
@@ -274,7 +285,7 @@ def run(cfg: SimConfig) -> SimResult:
     cost = _quad(xs[sl], plant.Q) + _quad(us[sl], plant.R)
     b_hat = float(cost.mean())
     c_hat = float(_quad(v[sl], ctrl.S).mean())
-    e_hat = float(_quad(eta[sl], weight).mean()) if partial else 0.0
+    e_hat = float(_quad(eta[sl], ctrl.W).mean()) if partial else 0.0
     d_hat = float(quant_err[sl].mean()) if quantized else 0.0
     entropy = empirical_entropy(idx, burn_in=cfg.burn_in) if quantized else None
     jump_cov = None
@@ -316,7 +327,7 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
     d_grid = [float(d) for d in d_grid]
     if len(d_grid) < MIN_SWEEP_POINTS:
         raise ValueError(
-            f"need at least {MIN_SWEEP_POINTS} distortion grid points")
+            f"sweep needs a d_grid of at least {MIN_SWEEP_POINTS} points")
     ctrl = solve_control(plant)
     filt = None if plant.fully_observed else solve_filter(plant)
     bmin = b_min(plant, ctrl, filt)

@@ -63,8 +63,11 @@ def oracle_digest(cfg) -> str:
             xi = x if i == 0 else v[i - 1]
             gap = np.zeros(plant.n)
         q = mv(m_mat, eps) + mv(w_sqrt, xi)
-        point = lattice.nearest(q)
-        idx.append(lattice.index_of(point))
+        try:
+            point = lattice.nearest(q)
+            idx.append(lattice.index_of(point))
+        except ValueError:
+            break                      # an undecodable input ends the run
         eps = q - point
         gap = gap + mv(w_isqrt, eps)                   # x - s_hat
         xs.append(x)

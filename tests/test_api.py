@@ -1,12 +1,15 @@
 """The package's public names: __all__, the imports of __init__ and the
-README library sketch agree."""
+README library sketch agree, and so do the README config schema and the
+keys the parser accepts."""
 
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import ratecost
+from ratecost import cli
 
 INIT = Path(ratecost.__file__)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +41,13 @@ def test_readme_library_sketch_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_readme_config_schema_matches_the_parser():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\s+```json\n(.*?)```", text,
+                      re.DOTALL)
+    assert block is not None
+    schema = json.loads(block.group(1))
+    assert set(schema) == cli._KNOWN_KEYS
+    assert set(schema["plant"]) == cli._PLANT_KEYS

@@ -53,11 +53,13 @@ class TestConfigParsing:
         assert cfg.bounds == ("full", "upper")
         assert cfg.horizon == 6_000
         assert cfg.distortion is None
-        assert cfg.i_max == 64
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(base_config(horizonn=10))
+        # the infimum's term count is a constant, no longer a setting
+        with pytest.raises(ConfigError, match=r"keys: \['i_max'\]"):
+            config_from_dict(base_config(i_max=64))
 
     def test_unknown_plant_key_rejected(self):
         raw = base_config()
@@ -151,7 +153,7 @@ class TestBoundCommand:
         assert all(r["converged"] is True for r in payload["rows"])
 
     def test_truncated_infimum_reported(self, tmp_path):
-        raw = base_config(bounds=["lowrank"], b_grid=[100.0], i_max=1)
+        raw = base_config(bounds=["lowrank"], b_grid=[100.0])
         raw["plant"].update({
             "a": [[2.0, 1.0], [0.0, 1.2]], "b": [[0.0], [1.0]],
             "q": [[1.0, 0.0], [0.0, 1.0]],
@@ -426,6 +428,50 @@ class TestErrorContract:
         path = write_config(tmp_path, distortion=1.0)
         assert main(["simulate", "--config", path]) == code
         assert capsys.readouterr().err == prefix + "\n"
+
+
+# Extreme inputs, each once a raw traceback, a stray warning line or a
+# decoder error in place of a diverged run: (command, config overrides,
+# plant overrides, expected exit status).
+_FAR_TWO_DIM = {"a": [[1.4, 0.2], [0.0, 0.5]], "b": [[1.0, 0.0], [0.0, 1.0]],
+                "q": [[1.0, 0.0], [0.0, 1.0]], "r": [[1.0, 0.0], [0.0, 1.0]],
+                "noise_v": {"family": "gaussian",
+                            "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+                "noise_x1": {"family": "gaussian",
+                             "covariance": [[1e36, 0.0], [0.0, 1e36]]}}
+_LAPLACE = {"noise_v": {"family": "laplace", "covariance": [[1.0]]}}
+EXTREME_PROBES = {
+    "far_first_state_n2": ("simulate", {"distortion": 1.0, "horizon": 2000,
+                                        "seed": 0}, _FAR_TWO_DIM, 0),
+    "far_first_state_n2_sweep": ("sweep", {"d_grid": TestSweepCommand.GRID,
+                                           "horizon": 2000}, _FAR_TWO_DIM, 0),
+    "overflowing_rounding": ("simulate", {"distortion": 1e-318,
+                                          "horizon": 20_000},
+                             dict(_LAPLACE, noise_x1={
+                                 "family": "gaussian",
+                                 "covariance": [[1e300]]}), 0),
+    "index_past_int64": ("simulate", {"distortion": 1e-318,
+                                      "horizon": 20_000}, _LAPLACE, 2),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(EXTREME_PROBES))
+def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
+    command, over, plant, code = EXTREME_PROBES[probe]
+    raw = base_config(**over)
+    raw["plant"].update(plant)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ratecost.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratecost.cli", command, "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+    if code == 0:
+        assert "diverged" in proc.stdout
 
 
 def test_cli_import_leaves_out_scipy_signal():

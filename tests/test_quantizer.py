@@ -215,9 +215,9 @@ class TestAStarLattice:
         assert np.array_equal(lat.index_of(pts), z)
         assert np.allclose(lat.point_of(lat.index_of(pts)), pts, atol=1e-12)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_index_round_trip_at_large_coordinates(self, n):
-        lat = a_star_lattice(n).scale_to_distortion(2.0)
+        lat = lattice_for_dimension(n).scale_to_distortion(2.0)
         rng = np.random.default_rng(60 + n)
         z = rng.integers(-10**7, 10**7 + 1, size=(200, n))
         assert np.array_equal(lat.index_of(lat.point_of(z)), z)
@@ -228,12 +228,26 @@ class TestAStarLattice:
             lat.index_of(np.array([0.3, 0.4]))
 
     def test_index_rejects_off_lattice_points_at_large_coordinates(self):
-        # a relative tolerance of 1e-5 used to accept both
-        with pytest.raises(ValueError, match="not lattice"):
-            integer_lattice().index_of([100000.4])
+        # a relative tolerance of 1e-5 used to accept the first pair, and
+        # one of 1e-9 the second
         lat = a_star_lattice(2)
-        with pytest.raises(ValueError, match="not lattice"):
-            lat.index_of(lat.point_of([300000, -200000]) + 0.3)
+        for lattice, point in [
+            (integer_lattice(), [100000.4]),
+            (lat, lat.point_of([300000, -200000]) + 0.3),
+            (integer_lattice(), [[2e10 + 0.5]]),
+            (lat, lat.point_of([10**10, -10**10]) + 0.3),
+        ]:
+            with pytest.raises(ValueError, match="not lattice"):
+                lattice.index_of(point)
+
+    def test_index_beyond_int64_is_refused(self):
+        # both used to cast past int64 with only a numpy RuntimeWarning
+        fine = integer_lattice().scale_to_distortion(1e-318)
+        with pytest.raises(ValueError, match="int64 at cell scale 2e-159"):
+            fine.index_of(fine.nearest([1.0]))
+        lat = a_star_lattice(2)
+        with pytest.raises(ValueError, match="int64 at cell scale 1:"):
+            lat.index_of(lat.point_of([2**61, -2**61]) * 8.0)
 
     def test_decoded_points_are_lattice_points(self):
         lat = a_star_lattice(4)

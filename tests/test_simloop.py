@@ -87,6 +87,16 @@ class TestOracle:
         assert res.diverged
         assert res.digest == oracle_digest(cfg)
 
+    def test_overflowing_rounding_is_a_divergence(self):
+        # q / t overflows on the first step; round() used to raise
+        # OverflowError out of run
+        plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
+                            NoiseModel("laplace", [[1.0]]),
+                            noise_x1=NoiseModel("gaussian", [[1e300]]))
+        res = run(SimConfig(plant, 20_000, 1e-318, seed=2024))
+        assert res.diverged
+        assert res.steps == 0
+
 
 class TestDeterminism:
     def test_same_seed_same_digest(self):
@@ -197,6 +207,16 @@ class TestMatrixPlant:
         cfg = SimConfig(two_dim_plant(x1_var=1e26), 5_000, 1.0, seed=0)
         res = run(cfg)
         assert res.diverged
+        assert res.digest == oracle_digest(cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undecodable_first_input_is_a_divergence(self, seed):
+        # a first state near 1e18 is beyond the A_n* decode on seeds 0, 1, 3
+        # and 4, which used to raise its ValueError out of run
+        cfg = SimConfig(two_dim_plant(x1_var=1e36), 2_000, 1.0, seed=seed)
+        res = run(cfg)
+        assert res.diverged
+        assert res.steps <= 1
         assert res.digest == oracle_digest(cfg)
 
     @pytest.mark.parametrize("case", ["stable", "diverges", "nan", "overflow",
