@@ -214,21 +214,18 @@ def point_row(p: TradeoffPoint) -> dict:
     }
 
 
-def points_csv(points: list[TradeoffPoint]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for p in points:
-        row = point_row(p)
-        lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+def point_cells(p: TradeoffPoint) -> list[str]:
+    row = point_row(p)
+    return [_fmt(row[col]) for col in CSV_COLUMNS]
 
 
-def points_json(points: list[TradeoffPoint], meta: dict) -> str:
+def points_payload(points: list[TradeoffPoint], meta: dict) -> dict:
     payload = dict(meta)
     payload["columns"] = list(CSV_COLUMNS)
     payload["points"] = [
         {k: _js(v) for k, v in point_row(p).items()} for p in points
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
 
 
 def _write(path: Path, text: str) -> None:
@@ -237,14 +234,18 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _emit_points(points, meta, args, stem: str) -> None:
+def _emit_points(args, stem: str, header, cells: list[list[str]],
+                 payload: dict) -> None:
+    """The one writer of a command's rows under --out: the CSV is the
+    header plus the cells the table printed, the JSON is the payload."""
     if args.out is None:
         return
     out = Path(args.out)
     if args.format == "json":
-        _write(out / f"{stem}.json", points_json(points, meta))
+        _write(out / f"{stem}.json", json.dumps(payload, indent=2) + "\n")
     else:
-        _write(out / f"{stem}.csv", points_csv(points))
+        lines = [",".join(header)] + [",".join(row) for row in cells]
+        _write(out / f"{stem}.csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,8 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
                 continue
             try:
                 nats, converged = _eval_bound(cfg, kind, ctrl, filt, b)
+            except np.linalg.LinAlgError:
+                raise  # a ValueError too, but exit 1 like every other command
             except ValueError as err:
                 raise ConfigError(f"bound {kind!r} at b={b:g}: {err}") from err
             rows.append({"b": b, "kind": kind, "nats": nats,
@@ -429,15 +432,9 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
     cells = [[_fmt(r["b"]), r["kind"], _fmt(r["nats"]), _fmt(r["bits"]),
               _fmt(r["converged"]), r["note"]] for r in rows]
     _print_table(header, cells)
-    if args.out is not None:
-        out = Path(args.out)
-        if args.format == "json":
-            payload = {"b_min": bmin, "rows": [
-                {k: _js(v) for k, v in r.items()} for r in rows]}
-            _write(out / "bound.json", json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = [",".join(header)] + [",".join(c) for c in cells]
-            _write(out / "bound.csv", "\n".join(lines) + "\n")
+    payload = {"b_min": bmin,
+               "rows": [{k: _js(v) for k, v in r.items()} for r in rows]}
+    _emit_points(args, "bound", header, cells, payload)
     return 0
 
 
@@ -454,9 +451,9 @@ def _single_run(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     res, point, _, _, bmin = _single_run(cfg)
-    row = point_row(point)
+    cells = point_cells(point)
     _print_table(["field", "value"],
-                 [[col, _fmt(row[col])] for col in CSV_COLUMNS]
+                 list(zip(CSV_COLUMNS, cells))
                  + [["se_b", _fmt(res.se_b)],
                     ["max_step_distortion", _fmt(res.max_step_distortion)],
                     ["window", str(res.window)],
@@ -465,7 +462,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         print(f"diverged at step {res.steps}")
     meta = {"b_min": bmin, "seed": cfg.seed, "horizon": cfg.horizon,
             "digest": res.digest}
-    _emit_points([point], meta, args, "simulate")
+    _emit_points(args, "simulate", CSV_COLUMNS, [cells],
+                 points_payload([point], meta))
     return 0
 
 
@@ -475,12 +473,11 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     ctrl, filt, bmin = _solve(cfg)
 
     print(f"b_min = {bmin:.10g}")
-    _print_table(
-        list(CSV_COLUMNS),
-        [[_fmt(point_row(p)[col]) for col in CSV_COLUMNS] for p in points])
-
+    cells = [point_cells(p) for p in points]
+    _print_table(CSV_COLUMNS, cells)
     meta = {"b_min": bmin, "seed": cfg.seed, "horizon": cfg.horizon}
-    _emit_points(points, meta, args, "sweep")
+    _emit_points(args, "sweep", CSV_COLUMNS, cells,
+                 points_payload(points, meta))
     if args.svg and args.out is not None:
         bs, lower, upper = _bound_curves(cfg, ctrl, filt, bmin, points)
         _write(Path(args.out) / "sweep.svg",
@@ -525,7 +522,8 @@ def cmd_decompose(cfg: ExperimentConfig, args) -> int:
     _print_table(["term", "value", "reference"], rows)
     meta = {"b_min": bmin, "seed": cfg.seed, "horizon": cfg.horizon,
             "c_ref": c_ref, "e_ref": e_ref}
-    _emit_points([point], meta, args, "decompose")
+    _emit_points(args, "decompose", CSV_COLUMNS, [point_cells(point)],
+                 points_payload([point], meta))
     return 0
 
 
@@ -572,12 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("decompose", cmd_decompose, "audit the cost decomposition of one run"),
         ("validate", cmd_validate, "structural checks on the configured plant"),
     ):
+        # each subcommand takes only the flags it reads
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name != "validate":
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name not in ("validate", "bound"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         if name == "sweep":
             p.add_argument("--svg", action="store_true",
                            help="also render the tradeoff plot (needs --out)")
@@ -589,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         return args.fn(cfg, args)
     except np.linalg.LinAlgError as err:

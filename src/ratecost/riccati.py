@@ -3,11 +3,12 @@
 Both solvers run one plain value iteration, ``_value_iterate``: the filter
 Riccati equation is the control equation on the dual plant
 (A^T, C^T, Sigma_V, Sigma_W).  The iteration stops when the Frobenius change
-of the iterate drops below max(ABS_TOL, REL_TOL * ||X||_F), so the rule does
-not depend on the scale of the plant's costs or noise.  Value iteration is
-slower than a Schur/invariant-subspace solver but it is the direct
-transcription of the finite-horizon recursions whose limits define every
-quantity used by the bounds, which makes the iterates easy to audit.
+of the iterate drops below max(ABS_TOL * min(1, ||X||_F), REL_TOL * ||X||_F),
+or is exactly zero, so the rule does not depend on the scale of the plant's
+costs or noise.  Value iteration is slower than a Schur/invariant-subspace
+solver but it is the direct transcription of the finite-horizon recursions
+whose limits define every quantity used by the bounds, which makes the
+iterates easy to audit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .sysmodel import LinearPlant
 
 # REL_TOL takes over from ABS_TOL above ||X||_F = 100, where the rounding
-# noise of an iterate can exceed the absolute floor for ever.
+# noise of an iterate can exceed the absolute floor for ever; below
+# ||X||_F = 1 the floor shrinks with the iterate, so a small plant does not
+# stop at once.
 ABS_TOL = 1e-12
 REL_TOL = 1e-14
 MAX_ITER = 100_000
@@ -103,7 +106,9 @@ def _value_iterate(
         x_next = _sym(q + a.T @ (x - m) @ a)
         delta = float(np.linalg.norm(x_next - x))
         x = x_next
-        if delta < max(ABS_TOL, REL_TOL * float(np.linalg.norm(x))):
+        size = float(np.linalg.norm(x))
+        tol = max(ABS_TOL * min(1.0, size), REL_TOL * size)
+        if delta < tol or delta == 0.0:
             return x, it, used_pinv
     raise RiccatiError(f"Riccati value iteration did not converge in {MAX_ITER} iterations")
 

@@ -17,7 +17,9 @@ simulator is one engine built on the separation structure b = c + e + d:
    step on the integers; on A_n*, two small products and the zero-sum
    coset decode) and gives the same bits as ``Lattice.nearest``.
    An input the lattice cannot decode ends the run at that step, which
-   is reported as a divergence.
+   is reported as a divergence.  So does a row of either linear pass,
+   the first one included, whose norm reaches ``DIVERGENCE_NORM``: every
+   stream is cut at the shortest pass.
 3. Linear passes compute the rest: the closed-loop state (a stable linear
    filter of v and the total error x - s_hat, stepped on Python floats),
    the control, the c/e/d terms, the digest and the audits.  The per-step
@@ -117,17 +119,19 @@ def _quad(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", rows, weight, rows)
 
 
-def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray,
-                   lim: float = math.inf):
+def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray):
     """y_{i+1} = F y_i + drive_i from y_0, stepped on Python floats.
 
-    Returns (rows y_0 .. y_{k-1}, diverged), where y_k is the first iterate
-    whose norm reaches ``lim``; k is the horizon when none does.  Rows of
-    F y sum in ``_mv``'s column order; ``np.linalg.norm`` decides every
-    step whose float sum of squares is not below (lim/2)^2, NaN included.
+    Returns (rows y_0 .. y_{k-1}, diverged), where y_k is the first iterate,
+    y_0 included, whose norm reaches lim = ``DIVERGENCE_NORM``; k is the
+    horizon when none does.  Rows of F y sum in ``_mv``'s column order;
+    ``np.linalg.norm`` decides every step whose float sum of squares is not
+    below (lim/2)^2, NaN included.
     """
-    n = drive.shape[1]
+    n, lim = drive.shape[1], DIVERGENCE_NORM
     out = array("d")
+    if not np.linalg.norm(y0) < lim:
+        return np.empty((0, n)), True
     if n == 1:
         f, y = float(f_mat[0, 0]), float(y0[0])
         for r in memoryview(np.ascontiguousarray(drive[:, 0])):
@@ -241,7 +245,7 @@ def run(cfg: SimConfig) -> SimResult:
         # a_i = x_i - (predicted estimate): a_{i+1} = A (a_i - xi_i) + v_i
         pred_err, _ = _linear_filter(plant.A - ak @ plant.C,
                                      v - _mv(ak, wn), x0)
-        xi = _mv(k_mat, _mv(plant.C, pred_err) + wn)
+        xi = _mv(k_mat, _mv(plant.C, pred_err) + wn[:len(pred_err)])
         eta = pred_err - xi
         gap = eta
     else:
@@ -255,10 +259,11 @@ def run(cfg: SimConfig) -> SimResult:
         q_in, points = _wrap(lattice, m_mat, _mv(w_sqrt, xi))
         gap = gap[:len(q_in)] + _mv(w_isqrt, q_in - points)
 
-    # 3. linear passes: state, control, audits, cost terms
+    # 3. linear passes: state, control, audits, cost terms.  The state
+    # pass is driven by the shortest stream, so it ends at the first cut.
     bg = plant.B @ gain
     xs, diverged = _linear_filter(plant.A - bg, _mv(bg, gap) + v[:len(gap)],
-                                  x0, DIVERGENCE_NORM)
+                                  x0)
     diverged = diverged or len(gap) < cfg.horizon
     steps = xs.shape[0]
     us = -_mv(gain, xs - gap[:steps])

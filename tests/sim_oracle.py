@@ -55,7 +55,12 @@ def oracle_digest(cfg) -> str:
     eps = np.zeros(plant.n)
     xs, idx = [], []
     for i in range(cfg.horizon):
+        # every linear pass tests its rows, x_0 included
+        if not np.linalg.norm(x) < DIVERGENCE_NORM:
+            break
         if partial:
+            if not np.linalg.norm(pred_err) < DIVERGENCE_NORM:
+                break
             xi = mv(k_mat, mv(c, pred_err) + wn[i])    # Kalman jump
             gap = pred_err - xi                        # x - x_est
             pred_err = mv(a - ak @ c, pred_err) + (v[i] - mv(ak, wn[i]))
@@ -73,8 +78,6 @@ def oracle_digest(cfg) -> str:
         xs.append(x)
         # u = -G (x - gap) folded into x' = A x + B u + v
         x = mv(a - bg, x) + (mv(bg, gap) + v[i])
-        if not np.linalg.norm(x) < DIVERGENCE_NORM:
-            break
     return hashlib.sha256(
         np.asarray(xs, dtype=float).tobytes()
         + np.asarray(idx, dtype=np.int64).tobytes()).hexdigest()

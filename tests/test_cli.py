@@ -1,19 +1,25 @@
 """End-to-end tests of the batch front end through main()."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ratecost
 from ratecost import cli, simloop
 from ratecost.riccati import solve_control
+from ratecost.sysmodel import FAMILIES
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
 
@@ -171,6 +177,19 @@ class TestBoundCommand:
         assert row["converged"] is False
         assert row["note"] == ""
 
+    def test_linear_algebra_failure_is_not_a_config_error(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; numpy's own message used to
+        # leave as a config error (exit 2)
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.bnd, "entropy_cost_upper", singular)
+        path = write_config(tmp_path, b_grid=[6.0])
+        assert main(["bound", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "linear algebra failure: Singular matrix\n")
+
     def test_needs_b_grid(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["bound", "--config", path]) == 2
@@ -229,6 +248,14 @@ class TestSweepCommand:
             main(["sweep", "--config", path, "--out", str(tmp_path / name)])
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
+
+    def test_csv_rows_are_the_printed_table(self, tmp_path, capsys):
+        path = write_config(tmp_path, d_grid=self.GRID)
+        main(["sweep", "--config", path, "--out", str(tmp_path)])
+        table = capsys.readouterr().out.splitlines()[1:2 + len(self.GRID)]
+        csv = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert [line.split() for line in table] == [
+            line.split(",") for line in csv]
 
     def test_svg_rendered(self, tmp_path):
         path = write_config(tmp_path, d_grid=self.GRID)
@@ -430,6 +457,18 @@ class TestErrorContract:
         assert capsys.readouterr().err == prefix + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--out", "x"], ["validate", "--seed", "1"],
+    ["validate", "--format", "json"], ["bound", "--seed", "1"],
+])
+def test_subcommands_take_only_the_flags_they_read(tmp_path, capsys, argv):
+    path = write_config(tmp_path, b_grid=[6.0])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # Extreme inputs, each once a raw traceback, a stray warning line or a
 # decoder error in place of a diverged run: (command, config overrides,
 # plant overrides, expected exit status).
@@ -472,6 +511,8 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
     assert len(proc.stderr.splitlines()) <= 1
     if code == 0:
         assert "diverged" in proc.stdout
+    else:
+        assert "cell scale" in proc.stderr
 
 
 def test_cli_import_leaves_out_scipy_signal():
@@ -484,3 +525,85 @@ def test_cli_import_leaves_out_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _spd(rng, n, scale):
+    f = rng.standard_normal((n, n))
+    return (scale * (f @ f.T / n + 0.1 * np.eye(n))).tolist()
+
+
+def _diag(rng, n, scale):
+    return np.diag(scale * rng.uniform(0.5, 2.0, n)).tolist()
+
+
+@st.composite
+def cli_configs(draw):
+    """A config drawn over n <= 3, the three noise families (Gaussian only
+    when partially observed, as the filter requires), fully and partially
+    observed, with noise, cost and noise_x1 scales in 10^[-20, 20] and the
+    distortion in 10^[-12, 12]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+
+    def scale(bound):
+        return 10.0 ** draw(st.floats(-bound, bound))
+
+    partial = draw(st.booleans())
+    family = "gaussian" if partial else draw(st.sampled_from(FAMILIES))
+    noise, cost = scale(20), scale(20)
+    a = rng.standard_normal((n, n))
+    a *= draw(st.floats(0.3, 2.0)) / max(np.abs(np.linalg.eigvals(a)).max(),
+                                         1e-3)
+    plant = {"a": a.tolist(), "b": rng.standard_normal((n, m)).tolist(),
+             "q": _spd(rng, n, cost), "r": _spd(rng, m, cost),
+             "noise_v": {"family": family,
+                         "covariance": _diag(rng, n, noise)},
+             "noise_x1": {"family": "gaussian",
+                          "covariance": _diag(rng, n, scale(20))}}
+    kinds = ["full", "projected", "lowrank", "upper", "floor"]
+    if partial:
+        p = draw(st.integers(1, n))
+        plant["c"] = rng.standard_normal((p, n)).tolist()
+        plant["noise_w"] = {"family": "gaussian",
+                            "covariance": _spd(rng, p, scale(20))}
+        kinds += ["partial", "partial_projected", "partial_lowrank"]
+    return {"plant": plant,
+            "bounds": draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                    max_size=3, unique=True)),
+            "b_grid": [noise * cost * k for k in (1.0, 10.0, 1e3)],
+            "distortion": scale(12), "horizon": 1500, "burn_in": 200,
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+# What an exit 2 may report on a config that parses: a refusal ratecost
+# raises itself (a singular coder weight, an index past int64, a bound
+# undefined at b), never a message from numpy or scipy.
+OWN_REFUSALS = (
+    "weight W = A^T M A is singular", "lattice index does not fit in int64",
+    "noise has no known regularity constants",
+    "projected entropy power of", "projected covariance is singular",
+    "innovation jump covariance must be nonsingular",
+    "innovation weight A^T M A must be positive definite",
+    "need rows(L)=", "dynamics matrix powers overflowed", "retained modes",
+)
+
+
+@given(cli_configs())
+def test_random_configs_keep_the_exit_contract(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "bound", "simulate"):
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path)])
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) == (0 if code == 0 else 1), lines
+        if code == 2:
+            assert lines[0].startswith("config error: "), lines
+            assert any(r in lines[0] for r in OWN_REFUSALS), lines

@@ -204,3 +204,35 @@ class TestScaleInvariance:
         sol = solve_control(plant)
         assert sol.residual <= 1e-9 * np.linalg.norm(sol.S)
         assert_matches_dare(sol.S, plant.A, plant.B, plant.Q, plant.R)
+
+    @given(random_plants())
+    def test_rescaled_plant_scales_the_solution(self, plant):
+        # S(sQ, sR) = s S(Q, R) and P(s Sigma) = s P(Sigma) exactly; the
+        # reference is the plant at s = 1, not solve_discrete_are, which
+        # can fail to reorder (A, B) at s = 1e-12.
+        ctrl = solve_control(plant)
+        filt = None if plant.fully_observed else solve_filter(plant)
+        for s in (1e-3, 1e-6, 1e-12):
+            small = gaussian_plant(
+                plant.A, plant.B, s * plant.Q, s * plant.R,
+                s * plant.noise_v.covariance,
+                c=None if filt is None else plant.C,
+                cov_w=None if filt is None else s * plant.obs_cov)
+            s_small = solve_control(small).S / s
+            assert (np.linalg.norm(s_small - ctrl.S)
+                    <= 1e-9 * np.linalg.norm(ctrl.S))
+            if filt is not None:
+                p_small = solve_filter(small).P / s
+                assert (np.linalg.norm(p_small - filt.P)
+                        <= 1e-9 * np.linalg.norm(filt.P))
+
+    @pytest.mark.parametrize("s", [1e-13, 1e-20, 1e-100])
+    def test_scalar_gains_at_small_scale(self, s):
+        # Q = R = Sigma_V = Sigma_W = s leaves both gains at (1 + sqrt(5))/4;
+        # an absolute stop used to end the iteration at once below s = 1e-12
+        plant = gaussian_plant([[2.0]], [[1.0]], [[s]], [[s]], [[s]],
+                               c=[[1.0]], cov_w=[[s]])
+        assert math.isclose(solve_control(plant).L[0, 0], L_SCALAR,
+                            rel_tol=1e-10)
+        assert math.isclose(solve_filter(plant).K[0, 0], L_SCALAR,
+                            rel_tol=1e-10)

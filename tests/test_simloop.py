@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import sim_oracle
 from sim_oracle import mv, oracle_digest
 
+from ratecost import simloop
 from ratecost.riccati import b_min, solve_control, solve_filter
-from ratecost.simloop import (SimConfig, TradeoffPoint, _linear_filter, run,
-                              sweep)
+from ratecost.simloop import (DIVERGENCE_NORM, SimConfig, TradeoffPoint,
+                              _linear_filter, run, sweep)
 from ratecost.sysmodel import LinearPlant, NoiseModel
 
 BMIN_FULL = 4.23606797749979
@@ -35,15 +38,15 @@ def two_dim_plant(x1_var=None):
                        noise_x1=x1)
 
 
-def numpy_filter(f_mat, drive, y0, lim):
-    """The matrix filter stepped on numpy rows, norm-tested every step."""
+def numpy_filter(f_mat, drive, y0):
+    """The matrix filter stepped on numpy rows, norm-tested every row."""
     out, y = [], np.asarray(y0, dtype=float)
     for d in drive:
+        if not np.linalg.norm(y) < DIVERGENCE_NORM:
+            return np.array(out), True
         out.append(y)
         y = mv(f_mat, y) + d
-        if not np.linalg.norm(y) < lim:
-            return np.array(out), True
-    return np.array(out), False
+    return np.array(out), not np.linalg.norm(y) < DIVERGENCE_NORM
 
 
 class TestConfig:
@@ -96,6 +99,41 @@ class TestOracle:
         res = run(SimConfig(plant, 20_000, 1e-318, seed=2024))
         assert res.diverged
         assert res.steps == 0
+
+    @pytest.mark.parametrize("case", ["scalar_small_cell", "partial"])
+    def test_far_first_state_is_a_divergence_at_step_0(self, case):
+        # x_0's index used to overflow int64 (a ValueError out of run):
+        # no pass tested x_0 against DIVERGENCE_NORM
+        if case == "partial":
+            plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
+                                NoiseModel("gaussian", [[1.0]]), c=[[1.0]],
+                                noise_w=NoiseModel("gaussian", [[1.0]]),
+                                noise_x1=NoiseModel("gaussian", [[1e200]]))
+            cfg = SimConfig(plant, 2_000, 1.0, seed=0)
+        else:
+            cfg = SimConfig(scalar_plant(x1_var=1e30), 2_000, 1e-10, seed=0)
+        res = run(cfg)
+        assert res.diverged
+        assert res.steps == 0
+        assert res.digest == oracle_digest(cfg)
+
+    def test_cut_pre_pass_is_a_divergence(self, monkeypatch):
+        # With K = 0 the prediction error grows as 2^i, so the pre-pass
+        # stops before the horizon; its short rows used to meet the
+        # full-length observation noise in a numpy broadcast error.
+        def zero_gain(plant):
+            filt = solve_filter(plant)
+            return dataclasses.replace(filt, K=np.zeros_like(filt.K))
+
+        monkeypatch.setattr(simloop, "solve_filter", zero_gain)
+        monkeypatch.setattr(sim_oracle, "solve_filter", zero_gain)
+        for d in (1.0, None):
+            cfg = SimConfig(scalar_partial_plant(), 2_000, d, seed=0)
+            res = run(cfg)
+            assert res.diverged
+            assert 0 < res.steps < 100
+            if d is not None:
+                assert res.digest == oracle_digest(cfg)
 
 
 class TestDeterminism:
@@ -150,7 +188,7 @@ class TestFullyObserved:
         cfg = SimConfig(scalar_plant(x1_var=1e30), 5_000, 1.0, seed=0)
         res = run(cfg)
         assert res.diverged
-        assert res.steps == 1
+        assert res.steps == 0  # x_0 is past DIVERGENCE_NORM
         assert res.b_hat == math.inf
         assert res.entropy is None
 
@@ -226,21 +264,19 @@ class TestMatrixPlant:
         f_mat = rng.normal(size=(3, 3))
         f_mat *= 0.9 / np.abs(np.linalg.eigvals(f_mat)).max()
         drive = rng.normal(size=(400, 3)) * 100.0
-        y0, lim = rng.normal(size=3), 1e12
-        if case == "stable":
-            lim = math.inf
-        elif case == "diverges":
+        y0 = rng.normal(size=3)
+        if case == "diverges":
             f_mat *= 1.5
         elif case == "nan":
             drive[123, 1] = math.nan
         elif case == "overflow":
-            f_mat, lim = np.eye(3) * 1e200, math.inf
-        else:  # the norm lands on the limit exactly
+            f_mat = np.eye(3) * 1e200
+        elif case == "at_limit":  # the norm of y_0 lands on the limit exactly
             f_mat, drive = np.eye(3), np.zeros((50, 3))
-            y0, lim = np.array([3e11, 4e11, 0.0]), 5e11
+            y0 = np.array([6e11, 8e11, 0.0])
         with np.errstate(over="ignore"):
-            rows, diverged = _linear_filter(f_mat, drive, y0, lim)
-            ref, ref_diverged = numpy_filter(f_mat, drive, y0, lim)
+            rows, diverged = _linear_filter(f_mat, drive, y0)
+            ref, ref_diverged = numpy_filter(f_mat, drive, y0)
         assert diverged == ref_diverged == (case != "stable")
         assert rows.tobytes() == ref.tobytes()
 
