@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .riccati import ControlRiccati, FilterRiccati, b_min
-from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel
+from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel, numerical_rank
 
 LOG2_E = 1.0 / math.log(2.0)
 
@@ -54,6 +54,17 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix."""
     lam, vec = np.linalg.eigh((mat + mat.T) / 2.0)
     return vec @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+
+
+def whitening(weight: np.ndarray):
+    """(W^{1/2}, W^{-1/2}); the lattice coder needs a nonsingular W."""
+    n, rank = weight.shape[0], numerical_rank(weight)
+    if rank < n:
+        raise ValueError(
+            f"weight W = A^T M A is singular (rank {rank} < n = {n}): "
+            "the lattice coder needs a nonsingular W")
+    w_sqrt = psd_sqrt(weight)
+    return w_sqrt, np.linalg.inv(w_sqrt)
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -470,13 +481,10 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
         )
     slack = b - src.bmin
 
-    w_eigs = np.linalg.eigvalsh(w_mat)
-    w_min = float(w_eigs.min())
-    if w_min <= 0:
-        raise ValueError("innovation weight A^T M A must be positive definite")
+    _, w_half_inv = whitening(w_mat)
+    w_min = float(np.linalg.eigvalsh(w_mat).min())
     v_total = float(np.trace(noise_cov @ w_mat))
     # a* = max_z z' A'WA z / z'Wz, the one-step growth of weighted error.
-    w_half_inv = np.linalg.inv(psd_sqrt(w_mat))
     a_star = float(np.linalg.eigvalsh(
         w_half_inv @ (plant.A.T @ w_mat @ plant.A) @ w_half_inv).max())
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .riccati import b_min, solve_control, solve_filter
-from .simloop import (SimConfig, TradeoffPoint, run, sweep, tradeoff_point,
-                      whitening)
+from .simloop import SimConfig, TradeoffPoint, run, sweep, tradeoff_point
 from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
@@ -419,8 +418,6 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
                 continue
             try:
                 nats, converged = _eval_bound(cfg, kind, ctrl, filt, b)
-            except np.linalg.LinAlgError:
-                raise  # a ValueError too, but exit 1 like every other command
             except ValueError as err:
                 raise ConfigError(f"bound {kind!r} at b={b:g}: {err}") from err
             rows.append({"b": b, "kind": kind, "nats": nats,
@@ -503,7 +500,7 @@ def cmd_decompose(cfg: ExperimentConfig, args) -> int:
         # refused without simulating; a coder weight the run would refuse
         # is still reported first
         if cfg.distortion is not None:
-            whitening(solve_control(cfg.plant).W)
+            bnd.whitening(solve_control(cfg.plant).W)
         raise ConfigError(short)
     res, point, ctrl, filt, bmin = _single_run(cfg)
     if res.window < MIN_DECOMPOSE_WINDOW:  # the run diverged early
@@ -558,31 +555,38 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# Each flag a subcommand may take, as argparse arguments.
+FLAGS = {
+    "out": dict(default=None, help="output directory"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "seed": dict(type=int, default=None, help="override the config seed"),
+    "svg": dict(action="store_true",
+                help="also render the tradeoff plot (needs --out)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratecost",
         description="Rate-cost bounds and quantized-control simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in (
-        ("bound", cmd_bound, "evaluate rate bounds on the configured b grid"),
-        ("simulate", cmd_simulate, "run one closed-loop simulation"),
-        ("sweep", cmd_sweep, "distortion sweep producing a tradeoff curve"),
-        ("decompose", cmd_decompose, "audit the cost decomposition of one run"),
-        ("validate", cmd_validate, "structural checks on the configured plant"),
+    for name, fn, help_text, flags in (
+        ("bound", cmd_bound, "evaluate rate bounds on the configured b grid",
+         ("out", "format")),
+        ("simulate", cmd_simulate, "run one closed-loop simulation",
+         ("out", "seed", "format")),
+        ("sweep", cmd_sweep, "distortion sweep producing a tradeoff curve",
+         ("out", "seed", "format", "svg")),
+        ("decompose", cmd_decompose, "audit the cost decomposition of one run",
+         ("out", "seed", "format")),
+        ("validate", cmd_validate, "structural checks on the configured plant",
+         ()),
     ):
-        # each subcommand takes only the flags it reads
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        if name != "validate":
-            p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name not in ("validate", "bound"):
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
-        if name == "sweep":
-            p.add_argument("--svg", action="store_true",
-                           help="also render the tradeoff plot (needs --out)")
-        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(fn=fn, seed=None)  # no --seed: the config's seed
     return parser
 
 
@@ -590,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
+        if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         return args.fn(cfg, args)
     except np.linalg.LinAlgError as err:

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import psd_sqrt, rate_sandwich
+from .bounds import rate_sandwich, whitening
 from .quantizer import (MIN_ENTROPY_SAMPLES, EntropyEstimate,
                         empirical_entropy, lattice_for_dimension)
 from .riccati import b_min, solve_control, solve_filter
-from .sysmodel import LinearPlant, numerical_rank
+from .sysmodel import LinearPlant
 
 DIVERGENCE_NORM = 1e12
 # what rounding an input raises when the lattice cannot decode it
@@ -199,17 +199,6 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     except UNDECODABLE:
         pass
     return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
-
-
-def whitening(weight: np.ndarray):
-    """(W^{1/2}, W^{-1/2}); the lattice coder needs a nonsingular W."""
-    n, rank = weight.shape[0], numerical_rank(weight)
-    if rank < n:
-        raise ValueError(
-            f"weight W = A^T M A is singular (rank {rank} < n = {n}): "
-            "the lattice coder needs a nonsingular W")
-    w_sqrt = psd_sqrt(weight)
-    return w_sqrt, np.linalg.inv(w_sqrt)
 
 
 def _diverged_result(steps: int, window: int, digest: str) -> SimResult:

@@ -258,7 +258,7 @@ class TestMatrixPlant:
         assert res.digest == oracle_digest(cfg)
 
     @pytest.mark.parametrize("case", ["stable", "diverges", "nan", "overflow",
-                                      "at_limit"])
+                                      "at_limit", "y0_at_limit"])
     def test_matrix_filter_matches_numpy_steps(self, case):
         rng = np.random.default_rng(8)
         f_mat = rng.normal(size=(3, 3))
@@ -271,7 +271,10 @@ class TestMatrixPlant:
             drive[123, 1] = math.nan
         elif case == "overflow":
             f_mat = np.eye(3) * 1e200
-        elif case == "at_limit":  # the norm of y_0 lands on the limit exactly
+        elif case == "at_limit":  # the norm of y_1 lands on the limit exactly
+            f_mat, drive = 2.0 * np.eye(3), np.zeros((50, 3))
+            y0 = np.array([3e11, 4e11, 0.0])
+        elif case == "y0_at_limit":
             f_mat, drive = np.eye(3), np.zeros((50, 3))
             y0 = np.array([6e11, 8e11, 0.0])
         with np.errstate(over="ignore"):
@@ -279,6 +282,8 @@ class TestMatrixPlant:
             ref, ref_diverged = numpy_filter(f_mat, drive, y0)
         assert diverged == ref_diverged == (case != "stable")
         assert rows.tobytes() == ref.tobytes()
+        if case.endswith("at_limit"):
+            assert len(rows) == (1 if case == "at_limit" else 0)
 
 
 class TestSweep:
