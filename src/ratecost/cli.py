@@ -27,6 +27,11 @@ from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
                "upper_bound_nats", "c_hat", "e_hat", "d_hat", "residual",
                "diverged")
+# A sweep, simulate or decompose row is TradeoffPoint's fields, in order,
+# under the names in CSV_COLUMNS.
+POINT_COLUMNS = tuple(zip(
+    CSV_COLUMNS, [f.name for f in dataclasses.fields(TradeoffPoint)],
+    strict=True))
 
 BOUND_KINDS = bnd.LOWER_KINDS + ("upper", "floor")
 
@@ -58,42 +63,56 @@ _KNOWN_KEYS = {"plant", "mode", "bounds", "b_grid", "d_grid", "distortion",
 _PLANT_KEYS = {"a", "b", "q", "r", "c", "noise_v", "noise_w", "noise_x1"}
 
 
-def _matrix(raw, name: str) -> list[list[float]]:
+def _matrix(raw, key: str) -> list[list[float]]:
     try:
         arr = np.asarray(raw, dtype=float)
-    except TypeError as err:
-        raise ConfigError(f"plant.{name} has the wrong type: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key} has the wrong type: {err}") from err
     if arr.ndim != 2:
-        raise ConfigError(f"plant.{name} must be a nested (row-major) array")
+        raise ConfigError(f"{key} must be a nested (row-major) array")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be finite")
     return arr.tolist()
 
 
-def _noise(raw, name: str) -> NoiseModel:
+def _noise(raw, key: str) -> NoiseModel:
     if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be an object with family and covariance")
+        raise ConfigError(f"{key} must be an object with family and covariance")
     family = raw.get("family")
     if family not in FAMILIES:
-        raise ConfigError(f"{name}.family must be one of {FAMILIES}")
+        raise ConfigError(f"{key}.family must be one of {FAMILIES}")
     if "covariance" not in raw:
-        raise ConfigError(f"{name}.covariance is required")
+        raise ConfigError(f"{key}.covariance is required")
+    cov = _matrix(raw["covariance"], f"{key}.covariance")
     try:
-        return NoiseModel(family, _matrix(raw["covariance"], f"{name}.covariance"))
+        return NoiseModel(family, cov)
     except ValueError as err:
-        raise ConfigError(f"{name}: {err}") from err
+        raise ConfigError(f"{key}: {err}") from err
 
 
 def _read(raw: dict, key: str, convert, default=None):
     """raw[key] (or default) passed through convert; a value of the wrong
-    type is a ConfigError, not a TypeError."""
+    type is a ConfigError that names the key."""
     value = raw.get(key, default)
     try:
         return convert(value)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"{key} has the wrong type: {err}") from err
+
+
+def _integer(raw: dict, key: str, default: int) -> int:
+    """raw[key] (or default) as an int; a float must be finite and
+    integral, so 1e5 reads as 100000."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value}")
+    return _read(raw, key, int, default)
 
 
 def _grid(raw: dict, name: str) -> tuple[float, ...]:
     vals = _read(raw, name, lambda v: () if v is None else tuple(float(x) for x in v))
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{name} must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{name} must be strictly increasing")
     return vals
@@ -108,19 +127,15 @@ def plant_from_dict(raw: dict) -> LinearPlant:
     for key in ("a", "b", "q", "r", "noise_v"):
         if key not in raw:
             raise ConfigError(f"plant.{key} is required")
+    a, b, q, r = (_matrix(raw[key], f"plant.{key}") for key in "abqr")
+    noise_v = _noise(raw["noise_v"], "plant.noise_v")
+    c = None if raw.get("c") is None else _matrix(raw["c"], "plant.c")
+    noise_w, noise_x1 = (None if raw.get(key) is None
+                         else _noise(raw[key], f"plant.{key}")
+                         for key in ("noise_w", "noise_x1"))
     try:
-        return LinearPlant(
-            _matrix(raw["a"], "a"),
-            _matrix(raw["b"], "b"),
-            _matrix(raw["q"], "q"),
-            _matrix(raw["r"], "r"),
-            _noise(raw["noise_v"], "plant.noise_v"),
-            c=None if raw.get("c") is None else _matrix(raw["c"], "c"),
-            noise_w=None if raw.get("noise_w") is None
-            else _noise(raw["noise_w"], "plant.noise_w"),
-            noise_x1=None if raw.get("noise_x1") is None
-            else _noise(raw["noise_x1"], "plant.noise_x1"),
-        )
+        return LinearPlant(a, b, q, r, noise_v, c=c, noise_w=noise_w,
+                           noise_x1=noise_x1)
     except ValueError as err:
         raise ConfigError(f"plant: {err}") from err
 
@@ -153,18 +168,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     b_grid = _grid(raw, "b_grid")
     d_grid = _grid(raw, "d_grid")
     distortion = _read(raw, "distortion", lambda v: None if v is None else float(v))
-    if distortion is not None and distortion <= 0:
-        raise ConfigError("distortion must be positive")
+    if distortion is not None and not 0 < distortion < math.inf:
+        raise ConfigError("distortion must be positive and finite")
     if not kinds and not b_grid and not d_grid and distortion is None:
         raise ConfigError("config requests neither bounds nor a simulation")
 
-    horizon = _read(raw, "horizon", int, DEFAULT_HORIZON)
-    burn_in = _read(raw, "burn_in", int, 1000)
+    horizon = _integer(raw, "horizon", DEFAULT_HORIZON)
+    burn_in = _integer(raw, "burn_in", 1000)
     if burn_in < 0:
         raise ConfigError("burn_in must be nonnegative")
     if horizon <= burn_in:
         raise ConfigError("horizon must exceed burn_in")
-    seed = _read(raw, "seed", int, 0)
+    seed = _integer(raw, "seed", 0)
 
     return ExperimentConfig(
         plant=plant, bounds=kinds, b_grid=b_grid, d_grid=d_grid,
@@ -204,26 +219,15 @@ def _js(x):
     return x
 
 
-def point_row(p: TradeoffPoint) -> dict:
-    return {
-        "d": p.d, "b_hat": p.b_hat, "h_hat_nats": p.h_nats,
-        "h_hat_bits": p.h_bits, "lower_bound_nats": p.lower_nats,
-        "upper_bound_nats": p.upper_nats, "c_hat": p.c_hat, "e_hat": p.e_hat,
-        "d_hat": p.d_hat, "residual": p.residual, "diverged": p.diverged,
-    }
-
-
 def point_cells(p: TradeoffPoint) -> list[str]:
-    row = point_row(p)
-    return [_fmt(row[col]) for col in CSV_COLUMNS]
+    return [_fmt(getattr(p, field)) for _, field in POINT_COLUMNS]
 
 
 def points_payload(points: list[TradeoffPoint], meta: dict) -> dict:
     payload = dict(meta)
     payload["columns"] = list(CSV_COLUMNS)
-    payload["points"] = [
-        {k: _js(v) for k, v in point_row(p).items()} for p in points
-    ]
+    payload["points"] = [{col: _js(getattr(p, field))
+                          for col, field in POINT_COLUMNS} for p in points]
     return payload
 
 
@@ -535,13 +539,14 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
         ["cost_psd", str(report.cost_psd)],
         ["noise_psd", str(report.noise_psd)],
     ]
-    ctrl, filt, bmin = _solve(cfg)
-    rows.append(["control_iterations", str(ctrl.iterations)])
-    rows.append(["control_residual", _fmt(ctrl.residual)])
-    if filt is not None:
-        rows.append(["filter_iterations", str(filt.iterations)])
-        rows.append(["filter_residual", _fmt(filt.residual)])
-    rows.append(["b_min", _fmt(bmin)])
+    if report.ok:  # the Riccati solves need a structurally sound plant
+        ctrl, filt, bmin = _solve(cfg)
+        rows.append(["control_iterations", str(ctrl.iterations)])
+        rows.append(["control_residual", _fmt(ctrl.residual)])
+        if filt is not None:
+            rows.append(["filter_iterations", str(filt.iterations)])
+            rows.append(["filter_residual", _fmt(filt.residual)])
+        rows.append(["b_min", _fmt(bmin)])
     rows.append(["unstable_floor_nats", _fmt(bnd.unstable_floor(cfg.plant.A))])
     n = cfg.plant.n
     if n >= 3:

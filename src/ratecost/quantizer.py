@@ -148,11 +148,12 @@ class Lattice:
     def _break_tie(self, tied):
         # Even coordinate sum first, then lexicographic order, on the
         # integer coordinates in the lattice basis. Measure-zero event;
-        # the rule only pins down replayability.
+        # the rule only pins down replayability.  The basis is the inverse
+        # transpose of h @ gen, so a zero-sum candidate c has coordinates
+        # z_i = c_i - c_{i+1}: Python ints, exact at any size.
         def key(cand):
-            z = np.linalg.solve(self.base_basis, np.array(cand) @ self.lift.T)
-            z = np.rint(z).astype(np.int64)
-            return int(np.sum(z)) % 2, tuple(z)
+            z = tuple(round(a - b) for a, b in zip(cand, cand[1:]))
+            return sum(z) % 2, z
         return min(tied, key=key)
 
     def index_of(self, points) -> np.ndarray:

@@ -5,14 +5,16 @@ Riccati equation is the control equation on the dual plant
 (A^T, C^T, Sigma_V, Sigma_W).  The iteration stops when the Frobenius change
 of the iterate drops below max(ABS_TOL * min(1, ||X||_F), REL_TOL * ||X||_F),
 or is exactly zero, so the rule does not depend on the scale of the plant's
-costs or noise.  Value iteration is slower than a Schur/invariant-subspace
-solver but it is the direct transcription of the finite-horizon recursions
-whose limits define every quantity used by the bounds, which makes the
-iterates easy to audit.
+costs or noise; a non-finite iterate is a failure, not a fixed point.
+Value iteration is slower than a Schur/invariant-subspace solver but it is
+the direct transcription of the finite-horizon recursions whose limits
+define every quantity used by the bounds, which makes the iterates easy to
+audit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +96,28 @@ def _value_iterate(
 
     M(X) = X B (R + B^T X B)^{-1} B^T X.  Returns the last iterate, the
     iteration count and whether the pseudo-inverse fallback was needed.
+    An iterate whose norm overflows or is NaN raises RiccatiError, with no
+    numpy warning: an inf norm would otherwise pass the stop test.
     """
     x = x0.copy()
     used_pinv = False
-    for it in range(1, MAX_ITER + 1):
-        bx = b.T @ x
-        gain_cost = r + bx @ b
-        l_gain, pinv = _solve_psd(gain_cost, bx)
-        used_pinv = used_pinv or pinv
-        m = _sym(bx.T @ l_gain)
-        x_next = _sym(q + a.T @ (x - m) @ a)
-        delta = float(np.linalg.norm(x_next - x))
-        x = x_next
-        size = float(np.linalg.norm(x))
-        tol = max(ABS_TOL * min(1.0, size), REL_TOL * size)
-        if delta < tol or delta == 0.0:
-            return x, it, used_pinv
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            bx = b.T @ x
+            gain_cost = r + bx @ b
+            l_gain, pinv = _solve_psd(gain_cost, bx)
+            used_pinv = used_pinv or pinv
+            m = _sym(bx.T @ l_gain)
+            x_next = _sym(q + a.T @ (x - m) @ a)
+            delta = float(np.linalg.norm(x_next - x))
+            x = x_next
+            size = float(np.linalg.norm(x))
+            if not math.isfinite(size):
+                raise RiccatiError(f"Riccati value iteration diverged: the "
+                                   f"iterate is not finite at iteration {it}")
+            tol = max(ABS_TOL * min(1.0, size), REL_TOL * size)
+            if delta < tol or delta == 0.0:
+                return x, it, used_pinv
     raise RiccatiError(f"Riccati value iteration did not converge in {MAX_ITER} iterations")
 
 

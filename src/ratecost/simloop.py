@@ -89,7 +89,6 @@ class SimResult:
     steps: int
     window: int
     digest: str
-    innovation_jump_cov: np.ndarray | None = None
 
 
 def _batch_se(series: np.ndarray) -> float:
@@ -282,17 +281,13 @@ def run(cfg: SimConfig) -> SimResult:
     e_hat = float(_quad(eta[sl], ctrl.W).mean()) if partial else 0.0
     d_hat = float(quant_err[sl].mean()) if quantized else 0.0
     entropy = empirical_entropy(idx, burn_in=cfg.burn_in) if quantized else None
-    jump_cov = None
-    if partial and window > 1:
-        jumps = xi[sl]
-        jump_cov = jumps.T @ jumps / jumps.shape[0]
 
     return SimResult(b_hat=b_hat, se_b=_batch_se(cost), c_hat=c_hat,
                      e_hat=e_hat, d_hat=d_hat,
                      residual=b_hat - (c_hat + e_hat + d_hat),
                      entropy=entropy, max_step_distortion=max_dist,
                      diverged=False, steps=steps, window=window,
-                     digest=digest, innovation_jump_cov=jump_cov)
+                     digest=digest)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the batch front end through main()."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -121,6 +122,58 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="partially observed plant"):
             config_from_dict(base_config(bounds=["partial_lowrank"]))
 
+    def test_integral_float_reads_as_int(self):
+        cfg = config_from_dict(base_config(horizon=1e5, burn_in=2e3, seed=7.0))
+        assert (cfg.horizon, cfg.burn_in, cfg.seed) == (100_000, 2000, 7)
+        assert all(type(v) is int for v in (cfg.horizon, cfg.burn_in, cfg.seed))
+
+
+# Config numbers the reader refuses: (key named in the message, command,
+# config overrides, plant overrides).  "1e400" stands for the JSON literal,
+# which Python reads as inf; json.dumps writes NaN and Infinity literals.
+# Each once raised a raw OverflowError, exited 2 naming no key or naming it
+# twice, ran 100,000 Riccati iterations, dropped a fraction, or printed NaN
+# rows with exit 0.
+NAN, INF = math.nan, math.inf
+BAD_NUMBERS = {
+    **{f"{key}_{name}": (key, "simulate", {key: value}, {})
+       for key, fraction in (("horizon", 6000.5), ("burn_in", 100.5),
+                             ("seed", 2.7))
+       for name, value in (("1e400", "1e400"), ("inf", INF), ("nan", NAN),
+                           ("fraction", fraction))},
+    **{f"distortion_{name}": ("distortion", "simulate",
+                              {"distortion": value}, {})
+       for name, value in (("nan", NAN), ("inf", INF))},
+    **{f"b_grid_{name}": ("b_grid", "bound", {"b_grid": [6.0, value]}, {})
+       for name, value in (("nan", NAN), ("inf", INF))},
+    "d_grid_nan": ("d_grid", "sweep",
+                   {"d_grid": [1.0, 2.0, NAN, 4.0, 5.0, 6.0, 7.0, 8.0]}, {}),
+    **{f"plant_{key}_{name}": (f"plant.{key}", "validate", {},
+                               {key: [[value]]})
+       for key in ("a", "q") for name, value in (("nan", NAN), ("inf", INF))},
+    "covariance_nan": ("plant.noise_v.covariance", "validate", {},
+                       {"noise_v": {"family": "gaussian",
+                                    "covariance": [[NAN]]}}),
+    "covariance_not_nested": ("plant.noise_v.covariance", "validate", {},
+                              {"noise_v": {"family": "gaussian",
+                                           "covariance": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_NUMBERS))
+def test_bad_config_numbers_are_refused(tmp_path, capsys, probe):
+    key, command, over, plant = BAD_NUMBERS[probe]
+    raw = base_config(**{"distortion": 1.0, "b_grid": [6.0, 20.0],
+                         "d_grid": TestSweepCommand.GRID, **over})
+    raw["plant"].update(plant)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw).replace('"1e400"', "1e400"))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ")
+    assert len(err.splitlines()) == 1
+    assert err.count(key) == 1
+
 
 class TestBoundCommand:
     def test_oracle_asymptote_and_infeasible_rows(self, tmp_path, capsys):
@@ -225,6 +278,14 @@ class TestSimulateCommand:
         assert abs(float(row["b_hat"]) - BMIN_FULL) < 0.2
 
 
+# The TradeoffPoint field each row column carries.
+ROW_FIELDS = {"d": "d", "b_hat": "b_hat", "h_hat_nats": "h_nats",
+              "h_hat_bits": "h_bits", "lower_bound_nats": "lower_nats",
+              "upper_bound_nats": "upper_nats", "c_hat": "c_hat",
+              "e_hat": "e_hat", "d_hat": "d_hat", "residual": "residual",
+              "diverged": "diverged"}
+
+
 class TestSweepCommand:
     GRID = [1.5, 2.0, 2.7, 3.6, 4.9, 6.6, 8.9, 12.0]
 
@@ -252,6 +313,28 @@ class TestSweepCommand:
         assert "b_min" in svg
         assert svg.count("<circle") == len(self.GRID)
         assert svg.count("<polyline") >= 2
+
+    def test_csv_columns_name_each_point_field(self):
+        assert list(ROW_FIELDS) == list(CSV_COLUMNS)
+        assert list(ROW_FIELDS.values()) == [
+            f.name for f in dataclasses.fields(simloop.TradeoffPoint)]
+
+    def test_rows_carry_each_field_under_its_column(self, tmp_path,
+                                                    monkeypatch):
+        # one point whose fields all differ
+        point = simloop.TradeoffPoint(*[0.125 * (i + 1) for i in range(10)],
+                                      diverged=False)
+        monkeypatch.setattr(cli, "sweep", lambda *a, **k: [point])
+        path = write_config(tmp_path, d_grid=self.GRID)
+        for fmt in ("csv", "json"):
+            main(["sweep", "--config", path, "--out", str(tmp_path),
+                  "--format", fmt])
+        [row] = read_rows(tmp_path / "sweep.csv")
+        [entry] = json.loads((tmp_path / "sweep.json").read_text())["points"]
+        for col, field in ROW_FIELDS.items():
+            value = getattr(point, field)
+            assert row[col] == cli._fmt(value)
+            assert entry[col] == value
 
     def test_json_points(self, tmp_path):
         path = write_config(tmp_path, d_grid=self.GRID)
@@ -353,6 +436,34 @@ class TestValidateCommand:
         path.write_text(json.dumps(raw))
         assert main(["validate", "--config", str(path)]) == 1
         assert "not controllable" in capsys.readouterr().err
+
+    def test_overflowing_riccati_iterate_fails(self, tmp_path, capsys):
+        # The 1.5 mode is unstable and uncontrollable: the control Riccati
+        # iterate overflows near iteration 437, where its inf norm used to
+        # pass the stop test.  validate reports the structural cause and
+        # leaves the solve out; bound and simulate stop on the iterate.
+        raw = base_config(b_grid=[10.0, 100.0], distortion=1.0)
+        raw["plant"].update({
+            "a": [[2.0, 0.0], [0.0, 1.5]],
+            "b": [[1.0], [0.0]],
+            "q": [[1.0, 0.0], [0.0, 1.0]],
+            "noise_v": {"family": "gaussian",
+                        "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+        })
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert err == "problem: (A, B) not controllable: rank 1 < 2\n"
+            assert "b_min" not in out
+            for command in ("bound", "simulate"):
+                assert main([command, "--config", str(path)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("hard assert failed: Riccati value "
+                                      "iteration diverged")
+                assert len(err.splitlines()) == 1
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

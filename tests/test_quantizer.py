@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ class TestAStarLattice:
         x = np.random.default_rng(2).normal(size=2) * 1e17
         with pytest.raises(ValueError, match="double precision"):
             a_star_lattice(2).nearest(x)
+
+    def test_far_tie_is_decided_without_a_cast(self):
+        # Two zero-sum candidates whose basis coordinates, the consecutive
+        # differences, pass int64: a key solved in floats and cast to int64
+        # warned here.  Both sums are even, so the lexicographic order picks.
+        lat = a_star_lattice(3)
+        near = [3e19, 3e19, 3e19, -9e19]
+        far = [3e19 + 4096, 3e19, 3e19, -9e19 - 4096]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lat._break_tie([near, far]) == near
+            assert lat._break_tie([far, near]) == near
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_batch_equals_row_by_row(self, n):

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ class TestControlRiccati:
         assert np.allclose(sol.gain_cost, g, atol=1e-12)
         recon = plant.Q + a.T @ (sol.S - sol.M) @ a
         assert np.allclose(sol.S, recon, atol=1e-9)
+
+
+    def test_overflowing_iterate_raises(self):
+        # The 1.5 mode is unstable and uncontrollable, so S grows until its
+        # norm overflows; an inf norm used to pass the relative stop test.
+        plant = gaussian_plant(np.diag([2.0, 1.5]), [[1.0], [0.0]], np.eye(2),
+                               [[1.0]], np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RiccatiError, match="not finite at iteration"):
+                solve_control(plant)
+
+    def test_nan_plant_fails_at_once(self):
+        plant = gaussian_plant([[math.nan]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RiccatiError, match="at iteration 1$"):
+                solve_control(plant)
 
 
 class TestFilterRiccati:

@@ -202,13 +202,6 @@ class TestPartiallyObserved:
         assert abs(res.b_hat - BMIN_PARTIAL) / BMIN_PARTIAL < 0.02
         assert abs(res.residual) <= 3.0 * res.se_b
 
-    def test_innovation_jump_covariance_matches_filter(self):
-        plant = scalar_partial_plant()
-        filt = solve_filter(plant)
-        cfg = SimConfig(plant, 1_000_000, None, seed=3)
-        res = run(cfg)
-        assert np.allclose(res.innovation_jump_cov, filt.N, rtol=2e-2)
-
     def test_vanishing_observation_noise_matches_fully_observed(self):
         plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
                             NoiseModel("gaussian", [[1.0]]), c=[[1.0]],
