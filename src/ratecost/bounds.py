@@ -26,11 +26,11 @@ Bound kinds
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .riccati import ControlRiccati, FilterRiccati, b_min
 from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel, numerical_rank
@@ -128,6 +128,12 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
     """
     if d <= 0:
         raise ValueError("distortion d must be positive")
+    return _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power)(d)
+
+
+def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
+    """causal_slb_lowrank as a function of d > 0.  The infimum a and the
+    weight w do not depend on d: they are computed here, once."""
     a = np.asarray(a_mat, dtype=float)
     l = np.asarray(l_mat, dtype=float)
     k = np.asarray(k_mat, dtype=float)
@@ -175,8 +181,12 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
 
     log_w = (_logdet(l @ l.T) + _logdet(k.T @ k)) / m
     w = math.exp(log_w) if math.isfinite(log_w) else 0.0
-    nats = 0.5 * m * math.log(a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d)
-    return InfimumBound(nats=nats, converged=converged)
+
+    def at(d: float) -> InfimumBound:
+        nats = 0.5 * m * math.log(a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d)
+        return InfimumBound(nats=nats, converged=converged)
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +290,11 @@ def _ordered_basis(a: np.ndarray, cut_sq: float, want: int):
     clustered leading.
 
     Returns (J, A') with A = J A' J^T, J orthogonal, A' block
-    lower-quasi-triangular (Schur of A^T, transposed back).
+    lower-quasi-triangular (Schur of A^T, transposed back).  scipy is
+    imported here, not at start-up: only the projected kinds need it.
     """
+    from scipy.linalg import schur
+
     t_mat, z_mat, sdim = schur(
         a.T, output="real", sort=lambda re, im: re * re + im * im >= cut_sq
     )
@@ -341,36 +354,60 @@ def _source(plant: LinearPlant, control: ControlRiccati,
 
 # ---------------------------------------------------------------------------
 # rate-cost lower bounds (control level)
+#
+# Each body returns its bound as a function of b.  The parts that do not
+# depend on b are computed at its first feasible call and kept (a part that
+# raises is not), so a grid of b pays for them once and fails where a
+# one-b call would.
 
-def _converse(plant: LinearPlant, control: ControlRiccati, src: _Source,
-              b: float) -> float:
+def _converse(plant: LinearPlant, control: ControlRiccati, src: _Source):
     """log|det A| + (n/2) log(1 + N(K z) |det M|^(1/n) / ((b - b_min)/n))."""
     n = plant.n
-    slack = _require_feasible(b, src.bmin)
-    sign, log_det_a = np.linalg.slogdet(plant.A)
-    if sign == 0:
-        return -math.inf
-    log_det_m = _logdet(control.M)
-    det_m_root = math.exp(log_det_m / n) if math.isfinite(log_det_m) else 0.0
-    return log_det_a + 0.5 * n * math.log1p(
-        src.jump.entropy_power * det_m_root * n / slack)
+
+    @functools.cache
+    def fixed():  # None when A is singular
+        sign, log_det_a = np.linalg.slogdet(plant.A)
+        if sign == 0:
+            return None
+        log_det_m = _logdet(control.M)
+        det_m_root = math.exp(log_det_m / n) if math.isfinite(log_det_m) else 0.0
+        return log_det_a, src.jump.entropy_power, det_m_root
+
+    def at(b: float) -> float:
+        slack = _require_feasible(b, src.bmin)
+        if fixed() is None:
+            return -math.inf
+        log_det_a, power, det_m_root = fixed()
+        return log_det_a + 0.5 * n * math.log1p(power * det_m_root * n / slack)
+
+    return at
 
 
 def _projected(plant: LinearPlant, control: ControlRiccati, src: _Source,
-               b: float, proj: ProjectionSpec | None) -> float:
+               proj: ProjectionSpec | None = None):
     """ell log a' + (ell/2) log(1 + mu' N(T K z) / ((b - b_min)/ell)), with
     T the projection onto the ell dominant modes."""
-    if proj is None:
-        proj = make_projection(plant, control)
-    if proj.ell == 0:
-        return 0.0
-    slack = _require_feasible(b, src.bmin)
-    if proj.a_prime == 0.0:
-        return -math.inf
-    power = src.jump.projected_entropy_power(proj.transform)
-    return proj.ell * math.log(proj.a_prime) + 0.5 * proj.ell * math.log1p(
-        proj.mu_prime * power * proj.ell / slack
-    )
+
+    @functools.cache
+    def spec() -> ProjectionSpec:
+        return make_projection(plant, control) if proj is None else proj
+
+    @functools.cache
+    def power() -> float:
+        return src.jump.projected_entropy_power(spec().transform)
+
+    def at(b: float) -> float:
+        p = spec()
+        if p.ell == 0:
+            return 0.0
+        slack = _require_feasible(b, src.bmin)
+        if p.a_prime == 0.0:
+            return -math.inf
+        return p.ell * math.log(p.a_prime) + 0.5 * p.ell * math.log1p(
+            p.mu_prime * power() * p.ell / slack
+        )
+
+    return at
 
 
 def _weighted_gain_rows(control: ControlRiccati) -> np.ndarray:
@@ -378,34 +415,45 @@ def _weighted_gain_rows(control: ControlRiccati) -> np.ndarray:
     return psd_sqrt(control.gain_cost) @ control.L
 
 
-def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source,
-             b: float) -> InfimumBound:
+def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source):
     """Coding s'' = A s under the weight M = L_w^T L_w, driven by A K z: the
     low-rank causal SLB with gain A K."""
-    slack = _require_feasible(b, src.bmin)
-    return causal_slb_lowrank(
-        plant.A, _weighted_gain_rows(control), plant.A @ src.gain,
-        src.z.covariance, src.z.entropy_power, slack,
-    )
+
+    @functools.cache
+    def slb():
+        return _slb_lowrank(plant.A, _weighted_gain_rows(control),
+                            plant.A @ src.gain, src.z.covariance,
+                            src.z.entropy_power)
+
+    def at(b: float) -> InfimumBound:
+        slack = _require_feasible(b, src.bmin)
+        return slb()(slack)
+
+    return at
+
+
+_LOWER_BODIES = {"full": _converse, "projected": _projected, "lowrank": _lowrank,
+                 "partial": _converse, "partial_projected": _projected,
+                 "partial_lowrank": _lowrank}
 
 
 def lower_bound_full(plant: LinearPlant, control: ControlRiccati,
                      b: float) -> float:
     """Fully observed converse:
     log|det A| + (n/2) log(1 + N(V) |det M|^(1/n) / ((b - b_min)/n))."""
-    return _converse(plant, control, _source(plant, control), b)
+    return _converse(plant, control, _source(plant, control))(b)
 
 
 def lower_bound_partial(plant: LinearPlant, control: ControlRiccati,
                         filt: FilterRiccati, b: float) -> float:
     """Partially observed converse: N(V) becomes det(N)^(1/n)."""
-    return _converse(plant, control, _source(plant, control, filt), b)
+    return _converse(plant, control, _source(plant, control, filt))(b)
 
 
 def lower_bound_projected(plant: LinearPlant, control: ControlRiccati, b: float,
                           proj: ProjectionSpec | None = None) -> float:
     """Projected converse pricing only the ell dominant modes of v."""
-    return _projected(plant, control, _source(plant, control), b, proj)
+    return _projected(plant, control, _source(plant, control), proj)(b)
 
 
 def lower_bound_partial_projected(plant: LinearPlant, control: ControlRiccati,
@@ -413,19 +461,19 @@ def lower_bound_partial_projected(plant: LinearPlant, control: ControlRiccati,
                                   proj: ProjectionSpec | None = None) -> float:
     """Projected converse on the innovation; a singular T N T^T prices the
     noise at 0."""
-    return _projected(plant, control, _source(plant, control, filt), b, proj)
+    return _projected(plant, control, _source(plant, control, filt), proj)(b)
 
 
 def lower_bound_lowrank(plant: LinearPlant, control: ControlRiccati,
                         b: float) -> InfimumBound:
     """Fully observed converse for m < n control inputs (gain A K = A)."""
-    return _lowrank(plant, control, _source(plant, control), b)
+    return _lowrank(plant, control, _source(plant, control))(b)
 
 
 def lower_bound_partial_lowrank(plant: LinearPlant, control: ControlRiccati,
                                 filt: FilterRiccati, b: float) -> InfimumBound:
     """Partially observed converse for m <= k <= n (gain A K)."""
-    return _lowrank(plant, control, _source(plant, control, filt), b)
+    return _lowrank(plant, control, _source(plant, control, filt))(b)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +504,51 @@ def rogers_rho_bound(n: int) -> float:
     return 0.5 * math.log(TWO_PI_E) * (math.log(n) + math.log(math.log(n)) + 2.0)
 
 
+def _upper(plant: LinearPlant, control: ControlRiccati,
+           filt: FilterRiccati | None):
+    """entropy_cost_upper as a function of b."""
+    n = plant.n
+    observed = filt is not None or plant.fully_observed
+    rho = 1.0 if n == 1 else rho_covering(n)
+    src = _source(plant, control, filt)
+    converse = _converse(plant, control, src)
+
+    @functools.cache
+    def fixed():
+        reg = src.jump.regularity
+        if reg is None:
+            raise ValueError(
+                f"{src.jump.family} noise has no known regularity constants"
+            )
+        w_mat = control.W
+        _, w_half_inv = whitening(w_mat)
+        w_min = float(np.linalg.eigvalsh(w_mat).min())
+        v_total = float(np.trace(src.jump.covariance @ w_mat))
+        # a* = max_z z' A'WA z / z'Wz, the one-step growth of weighted error.
+        a_star = float(np.linalg.eigvalsh(
+            w_half_inv @ (plant.A.T @ w_mat @ plant.A) @ w_half_inv).max())
+        return reg, w_min, v_total, a_star
+
+    def at(b: float) -> float:
+        if not observed:
+            raise ValueError("filt is required for a partially observed plant")
+        first_terms = converse(b)
+        (c0, c1), w_min, v_total, a_star = fixed()
+        slack = b - src.bmin
+        sq_a = math.sqrt(a_star)
+        dt = np.geomspace(1e-6 * slack, slack, DESIGN_GRID_POINTS)
+        beta = (np.sqrt(dt) / w_min) * (
+            0.5 * c1 * sq_a * math.sqrt(v_total)
+            + c0 * (2.0 + sq_a)
+            + c1 * (2.0 + sq_a / 2.0) * np.sqrt(a_star * dt + v_total)
+            + 2.0 * c1 * (1.0 + sq_a) * np.sqrt(dt)
+        )
+        correction = float((0.5 * n * np.log(slack / dt) + beta).min())
+        return first_terms + alpha_n(n) + n * math.log(rho) + correction
+
+    return at
+
+
 def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
                        filt: FilterRiccati | None = None) -> float:
     """Entropy-cost upper bound: prefix-free coding of the lattice-quantized
@@ -466,49 +559,54 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
     smoothness term that vanishes as b -> b_min (so the sandwich gap tends
     to alpha_n + n log rho).  A partially observed plant needs its filter.
     """
-    if filt is None and not plant.fully_observed:
-        raise ValueError("filt is required for a partially observed plant")
-    n = plant.n
-    rho = 1.0 if n == 1 else rho_covering(n)
-    src = _source(plant, control, filt)
-    w_mat = control.W
-    first_terms = _converse(plant, control, src, b)
-    noise_cov = src.jump.covariance
-    reg = src.jump.regularity
-    if reg is None:
-        raise ValueError(
-            f"{src.jump.family} noise has no known regularity constants"
-        )
-    slack = b - src.bmin
+    return _upper(plant, control, filt)(b)
 
-    _, w_half_inv = whitening(w_mat)
-    w_min = float(np.linalg.eigvalsh(w_mat).min())
-    v_total = float(np.trace(noise_cov @ w_mat))
-    # a* = max_z z' A'WA z / z'Wz, the one-step growth of weighted error.
-    a_star = float(np.linalg.eigvalsh(
-        w_half_inv @ (plant.A.T @ w_mat @ plant.A) @ w_half_inv).max())
 
-    c0, c1 = reg
-    sq_a = math.sqrt(a_star)
-    dt = np.geomspace(1e-6 * slack, slack, DESIGN_GRID_POINTS)
-    beta = (np.sqrt(dt) / w_min) * (
-        0.5 * c1 * sq_a * math.sqrt(v_total)
-        + c0 * (2.0 + sq_a)
-        + c1 * (2.0 + sq_a / 2.0) * np.sqrt(a_star * dt + v_total)
-        + 2.0 * c1 * (1.0 + sq_a) * np.sqrt(dt)
-    )
-    correction = float((0.5 * n * np.log(slack / dt) + beta).min())
-    return first_terms + alpha_n(n) + n * math.log(rho) + correction
+# ---------------------------------------------------------------------------
+# every bound as a function of b
+
+def bound_curve(kind: str, plant: LinearPlant, control: ControlRiccati,
+                filt: FilterRiccati | None = None):
+    """Bound kind as a function b -> (nats, converged), for a grid of b.
+
+    kind is one of LOWER_KINDS, "upper" or "floor".  The partial_ kinds and
+    "upper" read filt (None for a fully observed plant); the other kinds
+    take the process noise.  Only a truncated infimum is not converged.
+    Each b-free part is computed once, at the first call that needs it.
+    """
+    if kind == "floor":
+        floor = functools.cache(lambda: unstable_floor(plant.A))
+        return lambda b: (floor(), True)
+    if kind == "upper":
+        at = _upper(plant, control, filt)
+    else:
+        src = _source(plant, control,
+                      filt if kind.startswith("partial") else None)
+        at = _LOWER_BODIES[kind](plant, control, src)
+    if kind.endswith("lowrank"):
+        return lambda b: astuple(at(b))
+    return lambda b: (at(b), True)
+
+
+def sandwich_curve(plant: LinearPlant, control: ControlRiccati,
+                   filt: FilterRiccati | None = None):
+    """rate_sandwich as a function of b, for a grid of b."""
+    lower = _converse(plant, control, _source(plant, control, filt))
+    upper = _upper(plant, control, filt)
+
+    def at(b: float) -> tuple[float, float]:
+        low = lower(b)
+        try:
+            up = upper(b)
+        except ValueError:
+            up = math.nan
+        return low, up
+
+    return at
 
 
 def rate_sandwich(plant: LinearPlant, control: ControlRiccati, b: float,
                   filt: FilterRiccati | None = None) -> tuple[float, float]:
     """(converse, coder entropy bound) at cost b on the plant's source; the
     upper bound is NaN where it is not defined."""
-    lower = (lower_bound_full(plant, control, b) if filt is None
-             else lower_bound_partial(plant, control, filt, b))
-    try:
-        upper = entropy_cost_upper(plant, control, b, filt=filt)
-    except ValueError:
-        upper = math.nan
-    return lower, upper
+    return sandwich_curve(plant, control, filt)(b)

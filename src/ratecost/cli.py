@@ -180,6 +180,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if horizon <= burn_in:
         raise ConfigError("horizon must exceed burn_in")
     seed = _integer(raw, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
 
     return ExperimentConfig(
         plant=plant, bounds=kinds, b_grid=b_grid, d_grid=d_grid,
@@ -365,8 +367,9 @@ def _bound_curves(cfg: ExperimentConfig, ctrl, filt, bmin: float,
     bs = np.linspace(lo, b_hi * 1.02, 200)
     lower = np.empty_like(bs)
     upper = np.empty_like(bs)
+    sandwich = bnd.sandwich_curve(cfg.plant, ctrl, filt)
     for i, b in enumerate(bs):
-        lower[i], upper[i] = bnd.rate_sandwich(cfg.plant, ctrl, b, filt)
+        lower[i], upper[i] = sandwich(b)
     return bs, lower, upper
 
 
@@ -387,31 +390,15 @@ def _solve(cfg: ExperimentConfig):
     return ctrl, filt, b_min(cfg.plant, ctrl, filt)
 
 
-def _eval_bound(cfg: ExperimentConfig, kind: str, ctrl, filt,
-                b: float) -> tuple[float, bool]:
-    """(nats, converged) of one row; only a truncated infimum is not
-    converged.  A partial_ kind is its converse on the innovation, so it
-    takes the filter; the other kinds are evaluated on the process noise."""
-    plant = cfg.plant
-    if kind == "floor":
-        return bnd.unstable_floor(plant.A), True
-    if kind == "upper":
-        return bnd.entropy_cost_upper(plant, ctrl, b, filt=filt), True
-    lower = getattr(bnd, f"lower_bound_{kind}")
-    args = ((plant, ctrl, filt, b) if kind.startswith("partial")
-            else (plant, ctrl, b))
-    if kind.endswith("lowrank"):
-        res = lower(*args)
-        return res.nats, res.converged
-    return lower(*args), True
-
-
 def cmd_bound(cfg: ExperimentConfig, args) -> int:
     if not cfg.b_grid:
         raise ConfigError("bound needs a nonempty b_grid")
     if not cfg.bounds:
         raise ConfigError("bound needs a nonempty bounds list")
     ctrl, filt, bmin = _solve(cfg)
+    # each kind's b-free part is computed at its first feasible row
+    curves = {kind: bnd.bound_curve(kind, cfg.plant, ctrl, filt)
+              for kind in cfg.bounds}
     rows = []
     for b in cfg.b_grid:
         for kind in cfg.bounds:
@@ -421,7 +408,7 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
                              "note": f"infeasible (b <= b_min={bmin:.7f})"})
                 continue
             try:
-                nats, converged = _eval_bound(cfg, kind, ctrl, filt, b)
+                nats, converged = curves[kind](b)
             except ValueError as err:
                 raise ConfigError(f"bound {kind!r} at b={b:g}: {err}") from err
             rows.append({"b": b, "kind": kind, "nats": nats,
@@ -560,11 +547,20 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+def _seed_flag(text: str) -> int:
+    """--seed's type: a nonnegative integer, as a config's seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 # Each flag a subcommand may take, as argparse arguments.
 FLAGS = {
     "out": dict(default=None, help="output directory"),
     "format": dict(choices=("csv", "json"), default="csv"),
-    "seed": dict(type=int, default=None, help="override the config seed"),
+    "seed": dict(type=_seed_flag, default=None,
+                 help="override the config seed"),
     "svg": dict(action="store_true",
                 help="also render the tradeoff plot (needs --out)"),
 }

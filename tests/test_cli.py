@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ratecost
-from ratecost import cli, simloop
+from ratecost import bounds, cli, simloop
 from ratecost.riccati import solve_control
 from ratecost.sysmodel import FAMILIES
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
@@ -173,6 +173,29 @@ def test_bad_config_numbers_are_refused(tmp_path, capsys, probe):
     assert err.startswith(f"config error: {key} ")
     assert len(err.splitlines()) == 1
     assert err.count(key) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_seed_is_refused_naming_the_key(tmp_path, capsys, command):
+    # numpy's SeedSequence once refused it inside the run, naming no key
+    over = dict(distortion=2.0, d_grid=TestSweepCommand.GRID, horizon=3000)
+    negative = write_config(tmp_path, "negative.json", seed=-1, **over)
+    assert main([command, "--config", negative]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be nonnegative, got -1\n")
+
+    zero = write_config(tmp_path, "zero.json", seed=0, **over)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", zero, "--seed", "-1"])
+    assert exc.value.code == 2
+    # argparse prints its usage, then the one error line
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"ratecost {command}: error: argument --seed: seed "
+                      "must be a nonnegative integer, got -1"]
+
+    assert main([command, "--config", zero]) == 0
+    assert main([command, "--config", zero, "--seed", "0"]) == 0
 
 
 class TestBoundCommand:
@@ -619,16 +642,60 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
         assert "cell scale" in proc.stderr
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal would add about a second and 45 MB to every command's
-    # start-up.  (concurrent.futures cannot be checked the same way:
-    # numpy.testing, which scipy.linalg pulls in, imports it.)
-    code = "import sys, ratecost.cli; print('scipy.signal' in sys.modules)"
+# Run in a fresh interpreter by test_commands_leave_out_scipy: every command
+# but a projected bound, on a fully and a partially observed plant, then the
+# scipy modules loaded so far, then a projected bound.
+STARTUP_SESSION = """
+import contextlib, io, json, sys
+import ratecost, ratecost.cli as cli
+out = sys.argv[1]
+for cfg in sys.argv[2:4]:
+    for argv in (["validate"], ["simulate"], ["decompose"], ["bound"],
+                 ["sweep", "--svg", "--out", out]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([argv[0], "--config", cfg] + argv[1:])
+        assert code == 0, (argv, cfg, code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["bound", "--config", sys.argv[4], "--out", out,
+                     "--format", "json"])
+print(json.dumps([code, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_commands_leave_out_scipy(tmp_path):
+    # Only the projected bounds need scipy (the ordered real Schur basis);
+    # importing scipy.linalg costs about 0.3 s and 25 MB of every command's
+    # start-up.
+    common = dict(distortion=2.0, d_grid=TestSweepCommand.GRID,
+                  horizon=11_000, b_grid=[3.0, 20.0, 100.0])
+    full = write_config(tmp_path, "full.json",
+                        bounds=["full", "lowrank", "upper", "floor"],
+                        **common)
+    raw = base_config(bounds=["partial", "partial_lowrank", "full", "lowrank",
+                              "upper", "floor"], **common)
+    raw["plant"].update(c=[[1.0]], noise_w={"family": "gaussian",
+                                            "covariance": [[0.5]]})
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(raw))
+    raw["bounds"] = ["projected", "partial_projected"]
+    projected = tmp_path / "projected.json"
+    projected.write_text(json.dumps(raw))
     env = dict(os.environ,
                PYTHONPATH=str(Path(ratecost.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SESSION, str(tmp_path / "out"), full,
+         str(partial), str(projected)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, projected_run = map(json.loads, proc.stdout.splitlines())
+    assert loaded == []
+    assert projected_run == [0, True]
+    rows = json.loads((tmp_path / "out" / "bound.json").read_text())["rows"]
+    assert [r["kind"] for r in rows if r["nats"] is not None] == [
+        "projected", "partial_projected"] * 2
+    assert all(math.isfinite(r["nats"]) for r in rows
+               if r["nats"] is not None)
 
 
 def _spd(rng, n, scale):
@@ -710,3 +777,141 @@ def test_random_configs_keep_the_exit_contract(tmp_path_factory, raw):
         if code == 2:
             assert lines[0].startswith("config error: "), lines
             assert any(r in lines[0] for r in OWN_REFUSALS), lines
+
+
+# bound evaluates each kind's b-free part once per command; these check its
+# rows, and the SVG's curves, against a fresh one-b evaluation at every b.
+
+def _hex(x):
+    """A float's exact bits (NaN = NaN); other values as they are."""
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def _one_b_row(kind, plant, ctrl, filt, b):
+    """(nats, converged) of one bound row from the public one-b functions."""
+    if kind == "floor":
+        return bounds.unstable_floor(plant.A), True
+    if kind == "upper":
+        return bounds.entropy_cost_upper(plant, ctrl, b, filt=filt), True
+    lower = getattr(bounds, f"lower_bound_{kind}")
+    res = (lower(plant, ctrl, filt, b) if kind.startswith("partial")
+           else lower(plant, ctrl, b))
+    return (res.nats, res.converged) if kind.endswith("lowrank") else (res, True)
+
+
+def _one_b_rows(cfg):
+    """bound's JSON rows from _one_b_row, and its error line or None."""
+    ctrl, filt, bmin = cli._solve(cfg)
+    rows = []
+    for b in cfg.b_grid:
+        for kind in cfg.bounds:
+            row = {"b": b, "kind": kind, "nats": math.nan, "bits": math.nan,
+                   "converged": True, "note": ""}
+            if kind != "floor" and b <= bmin:
+                row["note"] = f"infeasible (b <= b_min={bmin:.7f})"
+            else:
+                try:
+                    row["nats"], row["converged"] = _one_b_row(
+                        kind, cfg.plant, ctrl, filt, b)
+                except ValueError as err:
+                    return rows, f"config error: bound {kind!r} at b={b:g}: {err}"
+                row["bits"] = bounds.nats_to_bits(row["nats"])
+            rows.append({k: _hex(cli._js(v)) for k, v in row.items()})
+    return rows, None
+
+
+def _check_bound_against_one_b(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = config_from_dict(raw)
+    want, error = _one_b_rows(cfg)
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        code = main(["bound", "--config", str(path), "--out", str(tmp_path),
+                     "--format", "json"])
+    if error is not None:
+        assert (code, err.getvalue()) == (2, error + "\n")
+    else:
+        assert code == 0, err.getvalue()
+        rows = json.loads((tmp_path / "bound.json").read_text())["rows"]
+        assert [{k: _hex(v) for k, v in r.items()} for r in rows] == want
+
+    ctrl, filt, bmin = cli._solve(cfg)
+    bs, lower, upper = cli._bound_curves(cfg, ctrl, filt, bmin, [])
+    for b, low, up in zip(bs, lower, upper):
+        pair = bounds.rate_sandwich(cfg.plant, ctrl, b, filt)
+        assert (_hex(low), _hex(up)) == tuple(map(_hex, pair))
+    return error
+
+
+@st.composite
+def bound_configs(draw):
+    """A plant with n <= 4, m <= n, fully observed under any noise family or
+    partially observed, and six costs from below b_min to 100 b_min.  The
+    config asks for every bound kind that applies and, in some draws, then
+    for those the plant refuses (upper for a singular W or innovation jump
+    or uniform noise, projected for a non-Gaussian v)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    partial = draw(st.booleans())
+    family = "gaussian" if partial else draw(st.sampled_from(FAMILIES))
+    a = rng.standard_normal((n, n))
+    a *= draw(st.floats(0.3, 2.0)) / max(np.abs(np.linalg.eigvals(a)).max(),
+                                         1e-3)
+    plant = {"a": a.tolist(), "b": rng.standard_normal((n, m)).tolist(),
+             "q": _spd(rng, n, 1.0), "r": _spd(rng, m, 1.0),
+             "noise_v": {"family": family, "covariance": _diag(rng, n, 1.0)}}
+    kinds, refused = ["full", "lowrank", "floor"], []
+    (kinds if family == "gaussian" else refused).append("projected")
+    p = n
+    if partial:
+        p = draw(st.integers(1, n))
+        plant["c"] = rng.standard_normal((p, n)).tolist()
+        plant["noise_w"] = {"family": "gaussian",
+                            "covariance": _spd(rng, p, 1.0)}
+        kinds += ["partial", "partial_projected", "partial_lowrank"]
+    (kinds if m == p == n and family != "uniform" else refused).append("upper")
+    if draw(st.booleans()):
+        kinds += refused
+    raw = {"plant": plant, "bounds": kinds, "b_grid": [1.0]}
+    ctrl, filt, bmin = cli._solve(config_from_dict(raw))
+    raw["b_grid"] = [bmin * r for r in (0.5, 1.0, 1.001, 1.5, 10.0, 100.0)]
+    return raw
+
+
+@given(bound_configs())
+def test_bound_rows_match_the_one_b_functions(tmp_path_factory, raw):
+    _check_bound_against_one_b(tmp_path_factory.mktemp("bound"), raw)
+
+
+# Plants whose projection fails at the first feasible b: modes 1e-13 apart,
+# and a Jordan block at 1 whose eigenvalues split 1e-8 apart in roundoff
+# (real Schur then selects 2 of them where 1 was asked for).
+_JORDAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+_ROTATION = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
+UNPROJECTABLE = {
+    "unseparable": np.diag([1.0, 1.0 - 1e-13, 0.5]),
+    "split_pair": _ROTATION @ _JORDAN @ _ROTATION.T,
+}
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("name", sorted(UNPROJECTABLE))
+def test_failing_projection_names_the_first_feasible_b(tmp_path, name,
+                                                       partial):
+    eye = np.eye(3).tolist()
+    plant = {"a": UNPROJECTABLE[name].tolist(), "b": eye, "q": eye, "r": eye,
+             "noise_v": {"family": "gaussian", "covariance": eye}}
+    kind = "projected"
+    if partial:
+        plant.update(c=eye, noise_w={"family": "gaussian", "covariance": eye})
+        kind = "partial_projected"
+    raw = {"plant": plant, "bounds": ["floor", kind], "b_grid": [1.0]}
+    ctrl, filt, bmin = cli._solve(config_from_dict(raw))
+    raw["b_grid"] = [0.5 * bmin, 2.0 * bmin, 3.0 * bmin]
+    error = _check_bound_against_one_b(tmp_path, raw)
+    assert error.startswith(
+        f"config error: bound {kind!r} at b={2.0 * bmin:g}: ")
+
