@@ -21,7 +21,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .riccati import b_min, solve_control, solve_filter
-from .simloop import SimConfig, TradeoffPoint, run, sweep, tradeoff_point
+from .simloop import (SimConfig, TradeoffPoint, check_horizon, run, sweep,
+                      tradeoff_point)
 from .sysmodel import FAMILIES, LinearPlant, NoiseModel, validate
 
 CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
@@ -179,6 +180,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("burn_in must be nonnegative")
     if horizon <= burn_in:
         raise ConfigError("horizon must exceed burn_in")
+    try:
+        check_horizon(horizon, plant.n)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     seed = _integer(raw, "seed", 0)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")

@@ -3,12 +3,13 @@ estimation from emitted index streams.
 
 Lattice menu: the integers for n = 1 and A_n* for 2 <= n <= 8.  A_n* is
 the thinnest known lattice covering in every dimension handled here; no
-dither is used anywhere.  A_n* decodes one vector at a time (Conway and
-Sloane's coset decode in the sum-zero hyperplane of R^(n+1), in Python
-floats), so a point gets the same bits alone or in a batch; the
-closed-loop engine calls it on every step.  Only glue cosets that round
-to sum zero are candidates.  Entropy counts the distinct index rows from
-one stable lexicographic sort.
+dither is used anywhere.  A_n* has two decoders of Conway and Sloane's
+coset decode in the sum-zero hyperplane of R^(n+1): one vector in Python
+floats, and many rows (each with its own scale) in one numpy pass over
+rows x glue cosets.  They give the same bits, so a point decodes alike
+alone or in a batch; ``nearest`` picks by the number of rows it is given.
+Only glue cosets that round to sum zero are candidates.  Entropy counts
+the distinct index rows from one stable lexicographic sort.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ def _glue_vectors(n: int) -> tuple[tuple[float, ...], ...]:
         frac = c / (n + 1.0)
         glue.append((frac,) * (n + 1 - c) + (frac - 1.0,) * c)
     return tuple(glue)
+
+
+@functools.cache
+def _glue_array(n: int) -> np.ndarray:
+    glue = np.array(_glue_vectors(n))
+    glue.flags.writeable = False
+    return glue
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,14 @@ class Lattice:
             raise ValueError("points must be finite")
         if self.family == "integer_Z":
             out = np.round(pts / self.scale) * self.scale
+        elif len(pts) == 1:
+            out = np.array([self._nearest_one(pts[0].tolist())])
         else:
-            out = np.array([self._nearest_one(row) for row in pts.tolist()])
+            out, ok = self._nearest_rows(pts, np.full(len(pts), self.scale))
+            if not ok.all():
+                # the first bad row raises what the one-vector decode raises
+                with np.errstate(all="ignore"):
+                    self._nearest_one(pts[np.argmin(ok)].tolist())
         return out[0] if single else out
 
     def _nearest_one(self, x: list[float]) -> list[float]:
@@ -121,7 +135,7 @@ class Lattice:
         1/(n+1) >> ``TIE_TOL``.  This holds while |sum(hyper)| < 1/2, up to
         about 1e15 in unit coordinates; a point with no zero-sum coset is
         refused.  The two linear maps stay numpy products on a (1, n) row,
-        so a point decodes to the same bits alone or in a batch.
+        which ``_nearest_rows`` repeats row by row for the same bits.
         """
         t = self.scale
         hyper = (np.array([[xi / t for xi in x]]) @ self.lift)[0].tolist()
@@ -144,6 +158,49 @@ class Lattice:
         chosen = tied[0] if len(tied) == 1 else self._break_tie(tied)
         point = (np.array([chosen]) @ self.lift.T)[0].tolist()
         return [v * t for v in point]
+
+    def _nearest_rows(self, x: np.ndarray, t: np.ndarray):
+        """``_nearest_one`` on every row of x (k, n), row i at scale t[i],
+        in one numpy pass over rows x glue cosets; the same bits per row.
+
+        Returns (points, ok).  A row is not ok where ``_nearest_one``
+        raises: its lifted point is not finite, or no coset rounds to sum
+        zero; its output row is then meaningless.  Each step repeats the
+        one-vector arithmetic: stacked (1, n) products (a 2-D ``x @ lift``
+        rounds differently), ``np.rint`` for ``round``, squared distances
+        summed column by column, and an exact zero-sum test: float sums
+        of the rounded coordinates are exact below 2^53/(n+1), so rows
+        past ``2**48`` are summed in Python ints.  Rows with more than one
+        candidate within ``TIE_TOL`` go to ``_break_tie`` in coset order.
+        """
+        glue = _glue_array(self.n)
+        t = t[:, None]
+        with np.errstate(all="ignore"):
+            hyper = np.matmul((x / t)[:, None, :], self.lift)
+            f = np.rint(hyper - glue)                   # rows x cosets x n+1
+            cand = f + glue
+            diff = hyper - cand
+            sq = diff * diff
+            d2 = sq[..., 0]
+            for j in range(1, self.n + 1):
+                d2 = d2 + sq[..., j]
+            zero_sum = f.sum(axis=2) == 0.0
+            if not np.abs(hyper).max(initial=0.0) < 2.0 ** 48:  # far, or NaN
+                mag = np.abs(hyper).max(axis=(1, 2))
+                zero_sum &= (mag < math.inf)[:, None]
+                far = np.flatnonzero((mag >= 2.0 ** 48) & (mag < math.inf))
+                for i, rows in zip(far, f[far].tolist()):
+                    zero_sum[i] = [sum(map(int, r)) == 0 for r in rows]
+            d2 = np.where(zero_sum, d2, math.inf)
+            low = d2.min(axis=1)
+            tied = d2 <= (low + TIE_TOL)[:, None]
+            ok = low < math.inf
+            chosen = cand[np.arange(len(x)), tied.argmax(axis=1)]
+            if np.count_nonzero(tied) > len(x):
+                for i in np.flatnonzero(ok & (tied.sum(axis=1) > 1)):
+                    chosen[i] = self._break_tie(cand[i, tied[i]].tolist())
+            point = np.matmul(chosen[:, None, :], self.lift.T)[:, 0, :] * t
+        return point, ok
 
     def _break_tie(self, tied):
         # Even coordinate sum first, then lexicographic order, on the

@@ -13,9 +13,11 @@ simulator is one engine built on the separation structure b = c + e + d:
    eps_i = wrap(W^{1/2} A W^{-1/2} eps_{i-1} + W^{1/2} xi_i), where wrap
    subtracts the nearest lattice point.  It does not depend on the control.
    Before step 0, s_hat = 0 and u = 0, so xi_0 is the first innovation.
-   Its loop runs on Python floats for every lattice (no numpy call per
+   One run steps it on Python floats for every lattice (no numpy call per
    step on the integers; on A_n*, two small products and the zero-sum
-   coset decode) and gives the same bits as ``Lattice.nearest``.
+   coset decode).  A sweep on an n >= 2 plant steps all its points
+   together instead, with one batched A_n* decode per step.  Both give the
+   same bits as ``Lattice.nearest``.
    An input the lattice cannot decode ends the run at that step, which
    is reported as a divergence.  So does a row of either linear pass,
    the first one included, whose norm reaches ``DIVERGENCE_NORM``: every
@@ -43,6 +45,9 @@ from .riccati import b_min, solve_control, solve_filter
 from .sysmodel import LinearPlant
 
 DIVERGENCE_NORM = 1e12
+# horizon x n: a run holds several horizon-length streams, and a lockstep
+# sweep those of every point, so one stream stays within 800 MB
+MAX_STREAM_VALUES = 10 ** 8
 # what rounding an input raises when the lattice cannot decode it
 UNDECODABLE = (OverflowError, ValueError)
 BATCH_COUNT = 20
@@ -67,12 +72,20 @@ class SimConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.horizon <= self.burn_in:
             raise ValueError("horizon must exceed burn_in")
+        check_horizon(self.horizon, self.plant.n)
         if self.distortion is not None and self.distortion <= 0:
             raise ValueError("distortion must be positive when set")
         if (self.distortion is not None
                 and self.horizon - self.burn_in < MIN_ENTROPY_SAMPLES):
             raise ValueError(
                 f"need at least {MIN_ENTROPY_SAMPLES} samples past burn-in")
+
+
+def check_horizon(horizon: int, n: int) -> None:
+    """Refuse a horizon past ``MAX_STREAM_VALUES`` / n before any sampling."""
+    if horizon * n > MAX_STREAM_VALUES:
+        raise ValueError(f"horizon must be at most {MAX_STREAM_VALUES // n} "
+                         f"for an n = {n} plant, got {horizon}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +213,41 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
 
 
+def _wrap_lockstep(lattices, m_mat: np.ndarray, hs):
+    """``_wrap`` for the A_n* coders of several points of one plant, stepped
+    together: one ``Lattice._nearest_rows`` call per step decodes every point
+    still running, each at its own scale.  Returns one (q, points) pair per
+    point, equal to its own ``_wrap`` bit for bit: q is summed in ``_mv``'s
+    column order, and a point stops at the end of its h or before its first
+    input the lattice cannot decode, while the others go on.
+    """
+    k, n = len(hs), m_mat.shape[0]
+    ends = np.array([len(h) for h in hs], dtype=np.int64)
+    horizon = int(ends.max(initial=0))
+    h_all = np.zeros((k, horizon, n))
+    for j, h in enumerate(hs):
+        h_all[j, :len(h)] = h
+    qs, ps = np.empty_like(h_all), np.empty_like(h_all)
+    live = np.flatnonzero(ends > 0)
+    scales = np.array([lat.scale for lat in lattices])[live]
+    eps = np.zeros((len(live), n))
+    i, stop = 0, ends[live].min(initial=horizon)
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        while len(live):
+            q = _mv(m_mat, eps) + h_all[live, i]
+            p, ok = lattices[0]._nearest_rows(q, scales)
+            qs[live, i] = q
+            ps[live, i] = p
+            eps = q - p
+            i += 1
+            if i == stop or not ok.all():
+                ends[live[~ok]] = i - 1
+                going = ends[live] > i
+                live, eps, scales = live[going], eps[going], scales[going]
+                stop = ends[live].min(initial=horizon)
+    return [(qs[j, :e], ps[j, :e]) for j, e in enumerate(ends)]
+
+
 def _diverged_result(steps: int, window: int, digest: str) -> SimResult:
     nan = math.nan
     return SimResult(b_hat=math.inf, se_b=nan, c_hat=nan, e_hat=nan,
@@ -210,84 +258,114 @@ def _diverged_result(steps: int, window: int, digest: str) -> SimResult:
 
 def run(cfg: SimConfig) -> SimResult:
     """Simulate one closed loop and audit its cost decomposition."""
-    plant = cfg.plant
-    partial = not plant.fully_observed
-    quantized = cfg.distortion is not None
+    ctrl, filt = _solve(cfg.plant)
+    return _run(cfg, ctrl, filt)
+
+
+def _solve(plant: LinearPlant):
     ctrl = solve_control(plant)
-    filt = solve_filter(plant) if partial else None
-    gain = ctrl.L @ plant.A
-    if quantized:
-        w_sqrt, w_isqrt = whitening(ctrl.W)
-        lattice = lattice_for_dimension(plant.n).scale_to_distortion(
-            cfg.distortion)
+    return ctrl, None if plant.fully_observed else solve_filter(plant)
 
-    ss_v, ss_init, ss_w = _seed_sequence(cfg.seed).spawn(3)
-    v = plant.noise_v.sample(np.random.default_rng(ss_v), cfg.horizon)
-    x0 = plant.noise_x1.sample(np.random.default_rng(ss_init), 1)[0]
 
-    # 1. driving term xi and estimation error eta = x - x_est
-    if partial:
-        wn = plant.noise_w.sample(np.random.default_rng(ss_w), cfg.horizon)
-        k_mat = filt.K
-        ak = plant.A @ k_mat
-        # a_i = x_i - (predicted estimate): a_{i+1} = A (a_i - xi_i) + v_i
-        pred_err, _ = _linear_filter(plant.A - ak @ plant.C,
-                                     v - _mv(ak, wn), x0)
-        xi = _mv(k_mat, _mv(plant.C, pred_err) + wn[:len(pred_err)])
-        eta = pred_err - xi
-        gap = eta
-    else:
-        xi = np.concatenate([x0[None], v[:-1]])
-        gap = np.zeros_like(v)
+def _run(cfg: SimConfig, ctrl, filt) -> SimResult:
+    """``run`` on the plant's Riccati solutions, solved by the caller."""
+    pt = _Point(cfg, ctrl, filt)
+    if pt.lattice is None:
+        return pt.finish(None, None)
+    return pt.finish(*_wrap(pt.lattice, pt.m_mat, pt.h))
 
-    # 2. the sequential coder error recursion; gap = x - s_hat.  A coder
-    # input it cannot decode cuts the run there, as a divergence.
-    if quantized:
-        m_mat = w_sqrt @ plant.A @ w_isqrt
-        q_in, points = _wrap(lattice, m_mat, _mv(w_sqrt, xi))
-        gap = gap[:len(q_in)] + _mv(w_isqrt, q_in - points)
 
-    # 3. linear passes: state, control, audits, cost terms.  The state
-    # pass is driven by the shortest stream, so it ends at the first cut.
-    bg = plant.B @ gain
-    xs, diverged = _linear_filter(plant.A - bg, _mv(bg, gap) + v[:len(gap)],
-                                  x0)
-    diverged = diverged or len(gap) < cfg.horizon
-    steps = xs.shape[0]
-    us = -_mv(gain, xs - gap[:steps])
-    if quantized:
-        idx = lattice.index_of(points[:steps])
-    else:
-        idx = np.zeros((steps, plant.n), dtype=np.int64)
-    digest = hashlib.sha256(xs.tobytes() + idx.tobytes()).hexdigest()
-    window = max(steps - cfg.burn_in, 0)
-    if diverged:
-        return _diverged_result(steps, window, digest)
+class _Point:
+    """One run split around its coder recursion.  Construction samples the
+    noise and runs the linear pre-pass (step 1), leaving the coder's drive
+    ``h``; ``finish`` takes the coder's rows and runs step 3."""
 
-    max_dist = 0.0
-    if quantized:
-        # weighted error (x - s_hat)^T W (x - s_hat) in whitened coordinates,
-        # against the decoder's reconstruction of the emitted indices
-        quant_err = np.sum((q_in - lattice.point_of(idx)) ** 2, axis=1)
-        max_dist = float(np.max(quant_err))
-        if max_dist > cfg.distortion + DISTORTION_SLACK:
-            raise RuntimeError(
-                f"distortion guarantee violated: {max_dist} > {cfg.distortion}")
+    def __init__(self, cfg: SimConfig, ctrl, filt):
+        plant = self.plant = cfg.plant
+        self.cfg, self.ctrl = cfg, ctrl
+        self.lattice = None
+        if cfg.distortion is not None:
+            w_sqrt, self.w_isqrt = whitening(ctrl.W)
+            self.m_mat = w_sqrt @ plant.A @ self.w_isqrt
+            self.lattice = lattice_for_dimension(plant.n).scale_to_distortion(
+                cfg.distortion)
 
-    sl = slice(cfg.burn_in, steps)
-    cost = _quad(xs[sl], plant.Q) + _quad(us[sl], plant.R)
-    b_hat = float(cost.mean())
-    c_hat = float(_quad(v[sl], ctrl.S).mean())
-    e_hat = float(_quad(eta[sl], ctrl.W).mean()) if partial else 0.0
-    d_hat = float(quant_err[sl].mean()) if quantized else 0.0
-    entropy = empirical_entropy(idx, burn_in=cfg.burn_in) if quantized else None
+        ss_v, ss_init, ss_w = _seed_sequence(cfg.seed).spawn(3)
+        self.v = plant.noise_v.sample(np.random.default_rng(ss_v),
+                                      cfg.horizon)
+        self.x0 = plant.noise_x1.sample(np.random.default_rng(ss_init), 1)[0]
 
-    return SimResult(b_hat=b_hat, se_b=_batch_se(cost), c_hat=c_hat,
-                     e_hat=e_hat, d_hat=d_hat,
-                     residual=b_hat - (c_hat + e_hat + d_hat),
-                     entropy=entropy, max_step_distortion=max_dist,
-                     diverged=False, steps=steps, window=window,
-                     digest=digest)
+        # driving term xi and estimation error eta = x - x_est
+        self.eta = None
+        if filt is not None:
+            wn = plant.noise_w.sample(np.random.default_rng(ss_w), cfg.horizon)
+            ak = plant.A @ filt.K
+            # a_i = x_i - (predicted estimate): a_{i+1} = A (a_i - xi_i) + v_i
+            pred_err, _ = _linear_filter(plant.A - ak @ plant.C,
+                                         self.v - _mv(ak, wn), self.x0)
+            xi = _mv(filt.K, _mv(plant.C, pred_err) + wn[:len(pred_err)])
+            self.eta = pred_err - xi
+        else:
+            xi = np.concatenate([self.x0[None], self.v[:-1]])
+        if self.lattice is not None:
+            self.h = _mv(w_sqrt, xi)
+
+    def finish(self, q_in, points) -> SimResult:
+        """Step 3, from the coder's inputs q and chosen points (None
+        when unquantized)."""
+        cfg, plant, ctrl, v = self.cfg, self.plant, self.ctrl, self.v
+        partial, quantized = self.eta is not None, self.lattice is not None
+        gain = ctrl.L @ plant.A
+        # gap = x - s_hat.  A coder input it cannot decode cuts the run
+        # there, as a divergence.
+        gap = self.eta if partial else np.zeros_like(v)
+        if quantized:
+            gap = gap[:len(q_in)] + _mv(self.w_isqrt, q_in - points)
+
+        # linear passes: state, control, audits, cost terms.  The state
+        # pass is driven by the shortest stream, so it ends at the first cut.
+        bg = plant.B @ gain
+        xs, diverged = _linear_filter(plant.A - bg,
+                                      _mv(bg, gap) + v[:len(gap)], self.x0)
+        diverged = diverged or len(gap) < cfg.horizon
+        steps = xs.shape[0]
+        us = -_mv(gain, xs - gap[:steps])
+        if quantized:
+            idx = self.lattice.index_of(points[:steps])
+        else:
+            idx = np.zeros((steps, plant.n), dtype=np.int64)
+        digest = hashlib.sha256(xs.tobytes() + idx.tobytes()).hexdigest()
+        window = max(steps - cfg.burn_in, 0)
+        if diverged:
+            return _diverged_result(steps, window, digest)
+
+        max_dist = 0.0
+        if quantized:
+            # weighted error (x - s_hat)^T W (x - s_hat) in whitened
+            # coordinates, against the decoder's reconstruction of the
+            # emitted indices
+            quant_err = np.sum((q_in - self.lattice.point_of(idx)) ** 2,
+                               axis=1)
+            max_dist = float(np.max(quant_err))
+            if max_dist > cfg.distortion + DISTORTION_SLACK:
+                raise RuntimeError(f"distortion guarantee violated: "
+                                   f"{max_dist} > {cfg.distortion}")
+
+        sl = slice(cfg.burn_in, steps)
+        cost = _quad(xs[sl], plant.Q) + _quad(us[sl], plant.R)
+        b_hat = float(cost.mean())
+        c_hat = float(_quad(v[sl], ctrl.S).mean())
+        e_hat = float(_quad(self.eta[sl], ctrl.W).mean()) if partial else 0.0
+        d_hat = float(quant_err[sl].mean()) if quantized else 0.0
+        entropy = (empirical_entropy(idx, burn_in=cfg.burn_in) if quantized
+                   else None)
+
+        return SimResult(b_hat=b_hat, se_b=_batch_se(cost), c_hat=c_hat,
+                         e_hat=e_hat, d_hat=d_hat,
+                         residual=b_hat - (c_hat + e_hat + d_hat),
+                         entropy=entropy, max_step_distortion=max_dist,
+                         diverged=False, steps=steps, window=window,
+                         digest=digest)
 
 
 @dataclass(frozen=True)
@@ -317,16 +395,25 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
     if len(d_grid) < MIN_SWEEP_POINTS:
         raise ValueError(
             f"sweep needs a d_grid of at least {MIN_SWEEP_POINTS} points")
-    ctrl = solve_control(plant)
-    filt = None if plant.fully_observed else solve_filter(plant)
+    ctrl, filt = _solve(plant)
     bmin = b_min(plant, ctrl, filt)
+    cfgs = [SimConfig(plant=plant, horizon=horizon, distortion=d,
+                      seed=np.random.SeedSequence(entropy=int(seed),
+                                                  spawn_key=(i,)),
+                      burn_in=burn_in)
+            for i, d in enumerate(d_grid)]
+    if plant.n == 1:
+        # one point at a time: the scalar loop gains little from a points
+        # axis, and would hold every point's streams at once
+        results = [_run(cfg, ctrl, filt) for cfg in cfgs]
+    else:
+        runs = [_Point(cfg, ctrl, filt) for cfg in cfgs]
+        rows = _wrap_lockstep([pt.lattice for pt in runs], runs[0].m_mat,
+                              [pt.h for pt in runs])
+        results = [pt.finish(*r) for pt, r in zip(runs, rows)]
 
-    points = []
-    for i, d in enumerate(d_grid):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
-        res = run(SimConfig(plant=plant, horizon=horizon, distortion=d,
-                            seed=ss, burn_in=burn_in))
-        points.append(tradeoff_point(plant, ctrl, filt, bmin, d, res))
+    points = [tradeoff_point(plant, ctrl, filt, bmin, d, res)
+              for d, res in zip(d_grid, results)]
     points.sort(key=lambda p: (p.diverged, p.b_hat))
     return points
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import ratecost
 from ratecost import bounds, cli, simloop
 from ratecost.riccati import solve_control
-from ratecost.sysmodel import FAMILIES
+from ratecost.sysmodel import FAMILIES, NoiseModel
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
 
@@ -196,6 +196,34 @@ def test_negative_seed_is_refused_naming_the_key(tmp_path, capsys, command):
 
     assert main([command, "--config", zero]) == 0
     assert main([command, "--config", zero, "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "decompose"])
+def test_oversized_horizon_is_refused_before_sampling(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # 1e13 steps once asked the sampler for 72.8 TiB: a raw MemoryError
+    def no_sampling(*args, **kwargs):
+        raise MemoryError("the sampler was reached")
+
+    monkeypatch.setattr(NoiseModel, "sample", no_sampling)
+    over = dict(distortion=2.0, d_grid=TestSweepCommand.GRID, horizon=1e13)
+    assert main([command, "--config", write_config(tmp_path, **over)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: horizon must be at most 100000000 for an n = 1 "
+        "plant, got 10000000000000\n")
+
+    # horizon x n is capped: the shipped configs and 10^8 scalar steps
+    # pass, and an n = 2 plant may take half of that
+    assert config_from_dict(base_config(horizon=10**8)).horizon == 10**8
+    two = {"a": np.eye(2).tolist(), "b": np.eye(2).tolist(),
+           "q": np.eye(2).tolist(), "r": np.eye(2).tolist(),
+           "noise_v": {"family": "gaussian", "covariance": np.eye(2).tolist()}}
+    assert config_from_dict(base_config(plant=two, horizon=5 * 10**7))
+    with pytest.raises(ConfigError, match="at most 50000000 for an n = 2"):
+        config_from_dict(base_config(plant=two, horizon=5 * 10**7 + 1))
+    configs = Path(__file__).parent.parent / "configs"
+    assert load_config(str(configs / "laplace_scalar.json")).horizon == 10**6
+    assert load_config(str(configs / "partial_scalar.json"))
 
 
 class TestBoundCommand:

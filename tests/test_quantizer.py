@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -69,6 +70,35 @@ def decode_set(n):
                           rng.normal(size=(100, n)) * 1e-8,
                           on, (on + on[::-1]) / 2.0, mid, hole])
     return lat, pts
+
+
+@st.composite
+def decode_batches(draw):
+    """An A_n* and a batch of rows, each at its own scale in 1e-8..1e8:
+    Gaussian points, lattice points plus permuted deep holes (ties), rows
+    of 2^48 to 1e17 cells (the exact-sum path; the far end is refused),
+    rows whose scaled value overflows, and non-finite rows."""
+    n = draw(st.integers(2, 8))
+    kinds = draw(st.lists(st.sampled_from(
+        ["gauss", "hole", "far", "overflow", "nonfinite"]),
+        min_size=2, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat = a_star_lattice(n)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=len(kinds))
+    rows = []
+    for kind, t in zip(kinds, scales):
+        unit = rng.normal(size=n)
+        if kind == "hole":
+            perm = n / 2.0 - rng.permutation(n + 1)
+            on = lat.point_of(rng.integers(-50, 51, size=n))
+            unit = perm / (n + 1.0) @ lat.lift.T + on
+        elif kind == "far":
+            unit *= 10.0 ** rng.uniform(math.log10(2.0 ** 48), 17.0)
+        elif kind == "nonfinite":
+            unit[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+        # x / t overflows once t < 1e-3 or so
+        rows.append(unit * 1e305 if kind == "overflow" else unit * t)
+    return lat, np.array(rows), scales
 
 
 class TestIntegerLattice:
@@ -188,6 +218,36 @@ class TestAStarLattice:
         pts = rng.normal(size=(400, n)) * 5.0
         rows = np.array([lat.nearest(x) for x in pts])
         assert lat.nearest(pts).tobytes() == rows.tobytes()
+
+    @given(decode_batches())
+    def test_batched_decode_equals_the_one_vector_decode(self, batch):
+        lat, x, scales = batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, ok = lat._nearest_rows(x, scales)
+        for row, t, got, good in zip(x, scales, out, ok):
+            try:
+                with np.errstate(all="ignore"):
+                    ref = dataclasses.replace(lat, scale=t)._nearest_one(
+                        row.tolist())
+            except (OverflowError, ValueError):
+                assert not good
+            else:
+                assert good
+                assert got.tobytes() == np.array(ref).tobytes()
+        # nearest on the finite rows at one scale: the row loop's bits, or
+        # the error of its first bad row
+        lat = dataclasses.replace(lat, scale=scales[0])
+        finite = x[np.isfinite(x).all(axis=1)]
+        try:
+            with np.errstate(all="ignore"):
+                expect = np.array([lat._nearest_one(r)
+                                   for r in finite.tolist()])
+        except (OverflowError, ValueError) as err:
+            with pytest.raises(type(err)):
+                lat.nearest(finite)
+        else:
+            assert lat.nearest(finite).tobytes() == expect.tobytes()
 
     @given(st.integers(2, 8).flatmap(lambda n: st.lists(
                st.floats(-100.0, 100.0), min_size=n, max_size=n)),

@@ -38,6 +38,11 @@ def two_dim_plant(x1_var=None):
                        noise_x1=x1)
 
 
+def zero_filter_gain(plant):
+    filt = solve_filter(plant)
+    return dataclasses.replace(filt, K=np.zeros_like(filt.K))
+
+
 def numpy_filter(f_mat, drive, y0):
     """The matrix filter stepped on numpy rows, norm-tested every row."""
     out, y = [], np.asarray(y0, dtype=float)
@@ -61,6 +66,11 @@ class TestConfig:
     def test_rejects_nonpositive_distortion(self):
         with pytest.raises(ValueError, match="distortion"):
             SimConfig(scalar_plant(), 2000, 0.0)
+
+    def test_rejects_oversized_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be at most"):
+            SimConfig(two_dim_plant(), simloop.MAX_STREAM_VALUES // 2 + 1, 1.0)
+        SimConfig(scalar_plant(), simloop.MAX_STREAM_VALUES, 1.0)
 
     def test_rejects_short_entropy_window(self):
         with pytest.raises(ValueError, match="1000 samples past burn-in"):
@@ -121,12 +131,8 @@ class TestOracle:
         # With K = 0 the prediction error grows as 2^i, so the pre-pass
         # stops before the horizon; its short rows used to meet the
         # full-length observation noise in a numpy broadcast error.
-        def zero_gain(plant):
-            filt = solve_filter(plant)
-            return dataclasses.replace(filt, K=np.zeros_like(filt.K))
-
-        monkeypatch.setattr(simloop, "solve_filter", zero_gain)
-        monkeypatch.setattr(sim_oracle, "solve_filter", zero_gain)
+        monkeypatch.setattr(simloop, "solve_filter", zero_filter_gain)
+        monkeypatch.setattr(sim_oracle, "solve_filter", zero_filter_gain)
         for d in (1.0, None):
             cfg = SimConfig(scalar_partial_plant(), 2_000, d, seed=0)
             res = run(cfg)
@@ -300,6 +306,65 @@ class TestSweep:
             assert p.upper_nats >= p.lower_nats
             assert math.isclose(p.h_bits, p.h_nats / math.log(2.0),
                                 rel_tol=1e-12)
+
+
+def three_dim_plant():
+    return LinearPlant(np.diag([1.3, -0.6, 0.9]) + 0.1, np.eye(3), np.eye(3),
+                       np.eye(3), NoiseModel("gaussian", np.eye(3)))
+
+
+def two_dim_partial_plant():
+    return LinearPlant(np.array([[1.4, 0.2], [0.0, 0.5]]), np.eye(2),
+                       np.eye(2), np.eye(2), NoiseModel("gaussian", np.eye(2)),
+                       c=[[1.0, 0.5]], noise_w=NoiseModel("gaussian", [[1.0]]))
+
+
+class TestLockstepSweep:
+    """An n >= 2 sweep steps its points' coders together; each point must
+    still be its own run, bit for bit."""
+
+    # d = 1e-31 puts the coder input near 1e15 cells, where A_n* has no
+    # zero-sum coset on some step: point 0 is cut early, the rest go on.
+    GRID = [1e-31, *np.geomspace(0.5, 8.0, 7)]
+
+    @pytest.mark.parametrize("case", ["n2", "n3", "partial_n2",
+                                      "partial_n2_cut_pre_pass"])
+    def test_each_point_equals_its_own_run(self, case, monkeypatch):
+        plant = {"n2": two_dim_plant, "n3": three_dim_plant}.get(
+            case, two_dim_partial_plant)()
+        if case.endswith("cut_pre_pass"):
+            # K = 0: each point's pre-pass stops near step 80, at a length
+            # of its own, so the lockstep meets streams of unequal length
+            monkeypatch.setattr(simloop, "solve_filter", zero_filter_gain)
+        results = []
+
+        def keep(plant, ctrl, filt, bmin, d, res):
+            results.append(res)
+            return TradeoffPoint(*[math.nan] * 10, res.diverged)
+
+        monkeypatch.setattr(simloop, "tradeoff_point", keep)
+        sweep(plant, self.GRID, horizon=2_000, seed=5, burn_in=500)
+        for i, (d, res) in enumerate(zip(self.GRID, results, strict=True)):
+            ss = np.random.SeedSequence(5, spawn_key=(i,))
+            cfg = SimConfig(plant, 2_000, d, seed=ss, burn_in=500)
+            assert repr(res) == repr(run(cfg))
+        steps = [res.steps for res in results]
+        if case.endswith("cut_pre_pass"):
+            assert max(steps) < 100 and len(set(steps)) > 1
+        else:
+            assert steps[0] < 2_000 and set(steps[1:]) == {2_000}
+
+    @pytest.mark.parametrize("plant", [scalar_partial_plant,
+                                       two_dim_partial_plant])
+    def test_riccati_pair_is_solved_once(self, plant, monkeypatch):
+        calls = []
+        for name in ("solve_control", "solve_filter"):
+            def counted(p, _solve=getattr(simloop, name), _name=name):
+                calls.append(_name)
+                return _solve(p)
+            monkeypatch.setattr(simloop, name, counted)
+        sweep(plant(), np.geomspace(1.0, 8.0, 8), horizon=2_000, seed=1)
+        assert calls == ["solve_control", "solve_filter"]
 
 
 # Random plants x' = A x + B u + v with Q = R = I.  A is strictly diagonally
