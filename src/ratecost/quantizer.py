@@ -112,7 +112,8 @@ class Lattice:
         if self.family == "integer_Z":
             out = np.round(pts / self.scale) * self.scale
         elif len(pts) == 1:
-            out = np.array([self._nearest_one(pts[0].tolist())])
+            with np.errstate(all="ignore"):  # x / t may overflow; refused
+                out = np.array([self._nearest_one(pts[0].tolist())])
         else:
             out, ok = self._nearest_rows(pts, np.full(len(pts), self.scale))
             if not ok.all():

@@ -148,13 +148,14 @@ def solve_filter(plant: LinearPlant) -> FilterRiccati:
     """Value-iterate P <- A (I - K C) P A^T + Sigma_V from P = Sigma_X1.
 
     This is the control recursion on the dual plant (A^T, C^T, Sigma_V,
-    Sigma_W).  Requires gaussian process/observation noise; the filter is
-    only the conditional-mean estimator in that case.
+    Sigma_W).  Requires gaussian process/observation noise, the only case
+    in which the filter is the conditional-mean estimator; other noise is
+    an input fault (ValueError), not a solver failure.
     """
     if plant.fully_observed:
         raise RiccatiError("filter Riccati applies to partially observed plants only")
     if not plant.noise_v.is_gaussian or (plant.noise_w is not None and not plant.noise_w.is_gaussian):
-        raise RiccatiError("filter Riccati requires gaussian noise_v and noise_w")
+        raise ValueError("filter Riccati requires gaussian noise_v and noise_w")
     a, c = plant.A, plant.C
     sigma_v = plant.noise_v.covariance
     sigma_w = plant.obs_cov

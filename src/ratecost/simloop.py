@@ -196,20 +196,21 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
         return np.frombuffer(qs)[:, None], np.frombuffer(ps)[:, None]
     rows = m_mat.tolist()
     eps = [0.0] * n
-    try:
-        for hi in h.tolist():
-            q = []
-            for row, hr in zip(rows, hi):
-                acc = eps[0] * row[0]
-                for j in range(1, n):
-                    acc += eps[j] * row[j]
-                q.append(acc + hr)
-            p = lattice._nearest_one(q)
-            eps = [qr - pr for qr, pr in zip(q, p)]
-            qs.extend(q)
-            ps.extend(p)
-    except UNDECODABLE:
-        pass
+    with np.errstate(all="ignore"):  # the decode refuses what overflows
+        try:
+            for hi in h.tolist():
+                q = []
+                for row, hr in zip(rows, hi):
+                    acc = eps[0] * row[0]
+                    for j in range(1, n):
+                        acc += eps[j] * row[j]
+                    q.append(acc + hr)
+                p = lattice._nearest_one(q)
+                eps = [qr - pr for qr, pr in zip(q, p)]
+                qs.extend(q)
+                ps.extend(p)
+        except UNDECODABLE:
+            pass
     return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
 
 

@@ -28,6 +28,15 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return a
 
 
+def _require_psd(mat: np.ndarray, name: str) -> None:
+    """Refuse a matrix whose symmetric part has its least eigenvalue below
+    -1e-12 times its largest eigenvalue magnitude: a test free of the
+    matrix's scale, which the zero matrix passes."""
+    eigs = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    if eigs[0] < -1e-12 * max(-eigs[0], eigs[-1]):
+        raise ValueError(f"{name} must be positive semidefinite")
+
+
 def _is_diagonal(a: np.ndarray, tol: float = 0.0) -> bool:
     off = a - np.diag(np.diag(a))
     return bool(np.all(np.abs(off) <= tol))
@@ -56,9 +65,7 @@ class NoiseModel:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.min() < -1e-12 * max(1.0, eigs.max()):
-            raise ValueError("covariance must be positive semidefinite")
+        _require_psd(cov, "covariance")
         if family != "gaussian" and not _is_diagonal(cov):
             raise ValueError(f"{family} noise requires a diagonal covariance")
         self.family = family
@@ -200,10 +207,12 @@ class LinearPlant:
         self.Q = _as_matrix(q, "Q")
         if self.Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {self.Q.shape}")
+        _require_psd(self.Q, "Q")
         m = self.B.shape[1]
         self.R = _as_matrix(r, "R")
         if self.R.shape != (m, m):
             raise ValueError(f"R must be {m}x{m}, got {self.R.shape}")
+        _require_psd(self.R, "R")
         self.C = np.eye(n) if c is None else _as_matrix(c, "C")
         if self.C.shape[1] != n:
             raise ValueError(f"C has {self.C.shape[1]} columns, expected {n}")
@@ -278,17 +287,18 @@ class ValidationReport:
     observable: bool
     controllability_rank: int
     observability_rank: int
-    cost_psd: bool
-    noise_psd: bool
     messages: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.controllable and self.observable and self.cost_psd and self.noise_psd
+        return self.controllable and self.observable
 
 
 def validate(plant: LinearPlant) -> ValidationReport:
-    """Structural checks: (A,B) controllable, (A,C) observable, PSD weights."""
+    """Structural checks: (A,B) controllable, (A,C) observable.
+
+    The plant's weights and noise covariances need no check here:
+    ``LinearPlant`` and ``NoiseModel`` refuse an indefinite one."""
     n = plant.n
     msgs: list[str] = []
 
@@ -302,29 +312,10 @@ def validate(plant: LinearPlant) -> ValidationReport:
     if not observable:
         msgs.append(f"(A, C) not observable: rank {obs_rank} < {n}")
 
-    cost_psd = True
-    for name, mat in (("Q", plant.Q), ("R", plant.R)):
-        eigs = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-        if eigs.min() < -1e-12 * max(1.0, abs(eigs.max())):
-            cost_psd = False
-            msgs.append(f"{name} is not positive semidefinite")
-
-    noise_psd = True
-    models = [("noise_v", plant.noise_v), ("noise_x1", plant.noise_x1)]
-    if plant.noise_w is not None:
-        models.append(("noise_w", plant.noise_w))
-    for name, model in models:
-        eigs = np.linalg.eigvalsh(model.covariance)
-        if eigs.min() < -1e-12 * max(1.0, abs(eigs.max())):
-            noise_psd = False
-            msgs.append(f"{name} covariance is not positive semidefinite")
-
     return ValidationReport(
         controllable=controllable,
         observable=observable,
         controllability_rank=ctrl_rank,
         observability_rank=obs_rank,
-        cost_psd=cost_psd,
-        noise_psd=noise_psd,
         messages=msgs,
     )

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import unittest.mock
 import warnings
 import xml.dom.minidom
 from pathlib import Path
@@ -668,6 +669,114 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
         assert "diverged" in proc.stdout
     else:
         assert "cell scale" in proc.stderr
+
+
+def test_overflowing_one_vector_decode_prints_no_warning(tmp_path, capsys):
+    # x / t overflows in the A_n* decode of the first coder input, which
+    # numpy's products once reported on stderr before the run diverged
+    raw = base_config(distortion=1e-318, horizon=20_000,
+                      d_grid=TestSweepCommand.GRID)
+    raw["plant"].update(_FAR_TWO_DIM, noise_x1={
+        "family": "gaussian", "covariance": [[1e300, 0.0], [0.0, 1e300]]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "sweep"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path)]) == 0
+        assert not caught, [str(w.message) for w in caught]
+        out, err = capsys.readouterr()
+        assert "diverged" in out
+        assert err == ""
+
+
+def test_partial_plant_with_non_gaussian_noise_is_a_config_error(tmp_path,
+                                                                   capsys):
+    raw = base_config(b_grid=[10.0], distortion=1.0,
+                      d_grid=TestSweepCommand.GRID)
+    raw["plant"].update(_LAPLACE, c=[[1.0]], noise_w={
+        "family": "gaussian", "covariance": [[1.0]]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "bound", "simulate", "sweep"):
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: filter Riccati requires gaussian noise_v and "
+            "noise_w\n")
+
+
+# The message that refuses an indefinite weight or covariance, by key.
+PSD_TARGETS = {
+    "q": "plant: Q must be positive semidefinite",
+    "r": "plant: R must be positive semidefinite",
+    **{key: f"plant.{key}: covariance must be positive semidefinite"
+       for key in ("noise_v", "noise_w", "noise_x1")},
+}
+
+
+@st.composite
+def psd_configs(draw):
+    """Two configs over n <= 3, fully or partially observed, that differ in
+    one weight or covariance (the target), drawn at a scale in 10^[-20, 20]
+    with eigenvalues of 0.5 to 2 times the scale but one: in the first
+    config that one is -1e-6 times the scale (indefinite), in the second
+    it is 0 (rank n - 1), or the whole target is 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    eye = np.eye(n).tolist()
+    plant = {"a": (2.0 * np.eye(n)).tolist(),
+             "b": rng.standard_normal((n, m)).tolist(),
+             "q": eye, "r": np.eye(m).tolist(),
+             "noise_v": {"family": "gaussian", "covariance": eye},
+             "noise_x1": {"family": "gaussian", "covariance": eye}}
+    if draw(st.booleans()):
+        plant["c"] = eye
+        plant["noise_w"] = {"family": "gaussian", "covariance": eye}
+    target = draw(st.sampled_from(sorted(k for k in PSD_TARGETS
+                                         if k in plant)))
+    scale = 10.0 ** draw(st.floats(-20, 20))
+    eigs = scale * rng.uniform(0.5, 2.0, m if target == "r" else n)
+    singular = eigs.copy()
+    eigs[0] = -1e-6 * scale
+    singular[0 if draw(st.booleans()) else slice(None)] = 0.0
+    v = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))[0]
+    configs = []
+    for values in (eigs, singular):
+        mat = (v * values) @ v.T
+        mat = ((mat + mat.T) / 2.0).tolist()  # symmetric to the bit
+        raw = {"plant": json.loads(json.dumps(plant)), "b_grid": [1.0],
+               "d_grid": TestSweepCommand.GRID, "distortion": 1.0,
+               "horizon": 1500, "burn_in": 200}
+        if target in ("q", "r"):
+            raw["plant"][target] = mat
+        else:
+            raw["plant"][target]["covariance"] = mat
+        configs.append(raw)
+    return target, *configs
+
+
+def _refuse_solve(*_args, **_kwargs):
+    raise AssertionError("a Riccati solve ran on a refused plant")
+
+
+@given(psd_configs())
+def test_indefinite_weights_are_refused_at_config_load(tmp_path_factory,
+                                                       drawn):
+    target, indefinite, singular = drawn
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(indefinite))
+    want = f"config error: {PSD_TARGETS[target]}\n"
+    with (unittest.mock.patch.object(cli, "solve_control", _refuse_solve),
+          unittest.mock.patch.object(simloop, "solve_control", _refuse_solve)):
+        for command in ("validate", "bound", "simulate", "sweep"):
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err)):
+                code = main([command, "--config", str(path)])
+            assert (code, err.getvalue()) == (2, want)
+    # a PSD target of rank n - 1, or zero, is a plant like any other
+    config_from_dict(singular)
 
 
 # Run in a fresh interpreter by test_commands_leave_out_scipy: every command

@@ -199,6 +199,15 @@ class TestAStarLattice:
         with pytest.raises(ValueError, match="double precision"):
             a_star_lattice(2).nearest(x)
 
+    def test_overflowing_point_is_refused_without_a_warning(self):
+        # x / t overflows to inf, the lift turns it into NaN, and numpy's
+        # product used to warn on stderr before the decode refused it
+        lat = a_star_lattice(2).scale_to_distortion(1e-318)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((OverflowError, ValueError)):
+                lat.nearest([1e300, 1e300])
+
     def test_far_tie_is_decided_without_a_cast(self):
         # Two zero-sum candidates whose basis coordinates, the consecutive
         # differences, pass int64: a key solved in floats and cast to int64

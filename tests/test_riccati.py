@@ -151,7 +151,7 @@ class TestFilterRiccati:
         plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
                             NoiseModel("laplace", [[1.0]]),
                             c=[[1.0]], noise_w=NoiseModel("gaussian", [[1.0]]))
-        with pytest.raises(RiccatiError):
+        with pytest.raises(ValueError):
             solve_filter(plant)
 
 

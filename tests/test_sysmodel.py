@@ -139,6 +139,28 @@ class TestLinearPlant:
             LinearPlant(np.eye(2), np.ones((2, 1)), np.eye(2), [[1.0]],
                         NoiseModel("gaussian", [[1.0]]))
 
+    @pytest.mark.parametrize("key", ["q", "r"])
+    def test_indefinite_weight_rejected_at_any_scale(self, key):
+        v = NoiseModel("gaussian", np.eye(2))
+        weights = {"q": np.eye(2), "r": np.eye(2)}
+        for scale in (1e-20, 1.0, 1e20):
+            weights[key] = scale * np.diag([1.0, -1e-6])
+            with pytest.raises(ValueError, match=f"{key.upper()} must be "
+                               "positive semidefinite"):
+                LinearPlant(np.eye(2), np.eye(2), weights["q"], weights["r"],
+                            v)
+        # the zero matrix and a singular PSD weight are accepted
+        weights[key] = np.zeros((2, 2))
+        LinearPlant(np.eye(2), np.eye(2), weights["q"], weights["r"], v)
+        weights[key] = 1e-20 * np.diag([1.0, 0.0])
+        LinearPlant(np.eye(2), np.eye(2), weights["q"], weights["r"], v)
+
+    def test_indefinite_covariance_rejected_at_any_scale(self):
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(ValueError, match="covariance must be positive"):
+                NoiseModel("gaussian", scale * np.diag([1.0, -1e-6]))
+        NoiseModel("gaussian", np.zeros((2, 2)))
+
     def test_obs_cov_default_zero(self):
         plant = scalar_plant()
         assert np.array_equal(plant.obs_cov, [[0.0]])
