@@ -120,10 +120,11 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
       a = inf_i [det(L A^i K Cov Kt A^it Lt) / (det Cov det(L Lt) det(Kt K))]^(1/(2 i m))
       w = (det(L Lt) det(Kt K))^(1/m)
     The infimum is truncated at DEFAULT_I_MAX terms (running minimum).
-    Terms are dropped once A^i is so ill conditioned that the product has no
-    significant digits left in its smallest direction; the sequence limit,
-    the geometric mean of the m largest |eig(A)|, joins the minimum in their
-    place.  ``converged``
+    Terms past the first are dropped once A^i is so ill conditioned that the
+    product has no significant digits left in its smallest direction; the
+    sequence limit, the geometric mean of the m largest |eig(A)|, joins the
+    minimum in their place.  The first term, L A K, is a product of the
+    inputs, not of a power, and is always kept.  ``converged``
     records whether the kept terms stabilised or reached that limit.
     """
     if d <= 0:
@@ -166,7 +167,7 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
         # det(mat cov mat^T) through singular values of mat cov^(1/2); the
         # explicit Gram product would square the condition number.
         svals = np.linalg.svd((mat / scale) @ cov_half, compute_uv=False)
-        if svals[-1] <= 1e-5 * svals[0]:
+        if i > 1 and svals[-1] <= 1e-5 * svals[0]:
             break  # roundoff floor of A^i: later terms carry no information
         log_num = 2.0 * (m * math.log(scale) + float(np.sum(np.log(svals))))
         a_terms.append(math.exp((log_num - log_den) / (2.0 * i * m)))

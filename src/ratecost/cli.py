@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -566,6 +567,7 @@ FLAGS = {
 }
 
 
+@functools.cache  # one parser serves every command a process runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratecost",

@@ -17,7 +17,8 @@ simulator is one engine built on the separation structure b = c + e + d:
    step on the integers; on A_n*, two small products and the zero-sum
    coset decode).  A sweep on an n >= 2 plant steps all its points
    together instead, with one batched A_n* decode per step.  Both give the
-   same bits as ``Lattice.nearest``.
+   same bits as ``Lattice.nearest``.  A sweep on an n = 1 plant runs its
+   points on forked worker processes instead, one point per task.
    An input the lattice cannot decode ends the run at that step, which
    is reported as a divergence.  So does a row of either linear pass,
    the first one included, whose norm reaches ``DIVERGENCE_NORM``: every
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +53,11 @@ DIVERGENCE_NORM = 1e12
 MAX_STREAM_VALUES = 10 ** 8
 # what rounding an input raises when the lattice cannot decode it
 UNDECODABLE = (OverflowError, ValueError)
+# For |x| < 2^51, (x + 1.5 * 2^52) lies in [2^52, 2^53), where the float
+# spacing is 1, so adding and subtracting the even shift rounds x to the
+# nearest integer, ties to even, as round() does.
+ROUND_SHIFT = 6755399441055744.0
+ROUND_RANGE = 2.0 ** 51
 BATCH_COUNT = 20
 DISTORTION_SLACK = 1e-9
 MIN_SWEEP_POINTS = 8
@@ -187,7 +195,13 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
         try:
             for hi in memoryview(np.ascontiguousarray(h[:, 0])):
                 q = m * eps + hi
-                p = round(q / t) * t
+                x = q / t
+                if -ROUND_RANGE < x < ROUND_RANGE:
+                    # round half to even in float arithmetic: exactly
+                    # float(round(x)), with no Python int built
+                    p = ((x + ROUND_SHIFT) - ROUND_SHIFT) * t
+                else:
+                    p = round(x) * t
                 eps = q - p
                 qs.append(q)
                 ps.append(p)
@@ -404,10 +418,11 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
                       burn_in=burn_in)
             for i, d in enumerate(d_grid)]
     if plant.n == 1:
-        # one point at a time: the scalar loop gains little from a points
-        # axis, and would hold every point's streams at once
-        results = [_run(cfg, ctrl, filt) for cfg in cfgs]
+        results = _run_pooled(cfgs, ctrl, filt)
     else:
+        # in-process: a lockstep step is a few dozen numpy calls whose cost
+        # does not shrink with fewer rows, so splitting the points over
+        # workers measured slower
         runs = [_Point(cfg, ctrl, filt) for cfg in cfgs]
         rows = _wrap_lockstep([pt.lattice for pt in runs], runs[0].m_mat,
                               [pt.h for pt in runs])
@@ -417,6 +432,24 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
               for d, res in zip(d_grid, results)]
     points.sort(key=lambda p: (p.diverged, p.b_hat))
     return points
+
+
+def _run_pooled(cfgs, ctrl, filt) -> list[SimResult]:
+    """``_run`` on each config, one point per task, on as many forked
+    workers as the process may use CPUs.  The scalar loop gains little from
+    a points axis, and would hold every point's streams at once; a point is
+    a pure function of its config and the Riccati pair, so each worker gives
+    the bits an in-process run would.  Results come back in config order,
+    and the first failing point in that order raises.  The pool modules are
+    imported here, not at start-up, where no other command pays for them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)), len(cfgs))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        return list(pool.map(_run, cfgs, repeat(ctrl), repeat(filt)))
 
 
 def tradeoff_point(plant, ctrl, filt, bmin: float, d: float,

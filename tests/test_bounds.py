@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -340,6 +341,48 @@ class TestLowRankBounds:
             assert res.nats < prev
             prev = res.nats
         assert prev >= 0.0
+
+
+# A mild partially observed plant (eigenvalues of A 1.30 and 0.51, det C
+# about 0.006) whose L A K is ill conditioned at the first power already:
+# the roundoff-floor test used to drop that term and refuse the plant.
+ILL_CONDITIONED_FIRST_TERM = {
+    "a": [[1.2921043580336202, 0.07808362612069346],
+          [0.07808362612069346, 0.5164806168755651]],
+    "b": [[-1.1008834093581745, -1.2839309512668515],
+          [0.6903987629785303, 0.8156684822447944]],
+    "q": [[100.0, 0.0], [0.0, 100.0]], "r": [[100.0, 0.0], [0.0, 100.0]],
+    "c": [[-1.1964837519946165, 0.7692445744399047],
+          [1.011684233413179, -0.6553001808522605]],
+    "noise_v": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+    "noise_w": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+}
+
+
+def test_ill_conditioned_first_lowrank_term_is_kept(tmp_path, capsys):
+    from ratecost import cli
+    plant = cli.plant_from_dict(ILL_CONDITIONED_FIRST_TERM)
+    ctrl, filt = solve_control(plant), solve_filter(plant)
+    b_grid = [b_min(plant, ctrl, filt) * (1.0 + r)
+              for r in np.geomspace(0.01, 10.0, 6)]
+    kinds = ["partial", "upper", "partial_projected", "partial_lowrank",
+             "floor"]
+    cfg = tmp_path / "plant.json"
+    cfg.write_text(json.dumps({"plant": ILL_CONDITIONED_FIRST_TERM,
+                               "bounds": kinds, "b_grid": b_grid}))
+    out = tmp_path / "out"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "bound.json").read_text())["rows"]
+    assert len(rows) == len(b_grid) * len(kinds)
+    assert all(r["nats"] is not None and r["note"] == "" for r in rows)
+    nats = {(r["b"], r["kind"]): r["nats"] for r in rows}
+    for b in b_grid:
+        assert math.isclose(nats[b, "partial_lowrank"], nats[b, "partial"],
+                            rel_tol=1e-9, abs_tol=1e-12)
+        res = lower_bound_partial_lowrank(plant, ctrl, filt, b)
+        assert res.converged
 
 
 class TestProjectedPartial:

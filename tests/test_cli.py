@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ratecost
-from ratecost import bounds, cli, simloop
+from ratecost import bounds, cli, quantizer, simloop
 from ratecost.riccati import solve_control
 from ratecost.sysmodel import FAMILIES, NoiseModel
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
@@ -320,6 +321,20 @@ class TestSimulateCommand:
         assert a == b
         assert a != c
 
+    def test_one_parser_serves_every_command(self, tmp_path):
+        # the parser is built once per process; a --seed given to one
+        # command must not carry over to the next
+        assert cli.build_parser() is cli.build_parser()
+        path = write_config(tmp_path, distortion=2.0)
+        for name, seed in (("flag", ["--seed", "3"]), ("config", []),
+                           ("other", ["--seed", "4"])):
+            assert main(["simulate", "--config", path, "--out",
+                         str(tmp_path / name), "--format", "json"] + seed) == 0
+        digests = {name: json.loads(
+            (tmp_path / name / "simulate.json").read_text())["digest"]
+            for name in ("flag", "config", "other")}
+        assert digests["config"] == digests["flag"] != digests["other"]
+
     def test_unquantized_run(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path,
@@ -397,6 +412,29 @@ class TestSweepCommand:
         assert len(payload["points"]) == len(self.GRID)
         b_vals = [p["b_hat"] for p in payload["points"]]
         assert b_vals == sorted(b_vals)
+
+    def test_failing_point_in_a_worker(self, tmp_path, capsys, monkeypatch):
+        # the decoder misreads the indices of two points: the audit fails
+        # in their workers, and the first in grid order is the one reported
+        bad = {quantizer.integer_lattice().scale_to_distortion(d).scale
+               for d in (self.GRID[2], self.GRID[5])}
+        point_of = quantizer.Lattice.point_of
+
+        def misread(lattice, indices):
+            out = point_of(lattice, indices)
+            return out + lattice.scale if lattice.scale in bad else out
+
+        monkeypatch.setattr(quantizer.Lattice, "point_of", misread)
+        path = write_config(tmp_path, d_grid=self.GRID)
+        assert main(["sweep", "--config", path]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("hard assert failed: distortion guarantee "
+                               "violated: ")
+        assert line.endswith(f" > {self.GRID[2]}")
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert main(["sweep", "--config", path]) == 0
+        assert multiprocessing.active_children() == []
 
     def test_missing_grid_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -779,12 +817,16 @@ def test_indefinite_weights_are_refused_at_config_load(tmp_path_factory,
     config_from_dict(singular)
 
 
-# Run in a fresh interpreter by test_commands_leave_out_scipy: every command
-# but a projected bound, on a fully and a partially observed plant, then the
-# scipy modules loaded so far, then a projected bound.
+# Run in a fresh interpreter by test_commands_leave_out_scipy: the pool
+# modules loaded by the import, then every command but a projected bound, on
+# a fully and a partially observed plant, then the scipy modules loaded so
+# far, then a projected bound.
 STARTUP_SESSION = """
 import contextlib, io, json, sys
 import ratecost, ratecost.cli as cli
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("multiprocessing",
+                                               "concurrent"))))
 out = sys.argv[1]
 for cfg in sys.argv[2:4]:
     for argv in (["validate"], ["simulate"], ["decompose"], ["bound"],
@@ -825,7 +867,8 @@ def test_commands_leave_out_scipy(tmp_path):
          str(partial), str(projected)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, projected_run = map(json.loads, proc.stdout.splitlines())
+    pool, loaded, projected_run = map(json.loads, proc.stdout.splitlines())
+    assert pool == []  # a sweep imports its worker pool when it needs one
     assert loaded == []
     assert projected_run == [0, True]
     rows = json.loads((tmp_path / "out" / "bound.json").read_text())["rows"]

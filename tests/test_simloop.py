@@ -319,19 +319,37 @@ def two_dim_partial_plant():
                        c=[[1.0, 0.5]], noise_w=NoiseModel("gaussian", [[1.0]]))
 
 
+def far_laplace_plant():
+    return LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
+                       NoiseModel("laplace", [[1.0]]),
+                       noise_x1=NoiseModel("gaussian", [[1e300]]))
+
+
 class TestLockstepSweep:
-    """An n >= 2 sweep steps its points' coders together; each point must
-    still be its own run, bit for bit."""
+    """An n >= 2 sweep steps its points' coders together, and an n = 1
+    sweep runs its points on worker processes; each point must still be its
+    own run, bit for bit, and in grid order."""
 
     # d = 1e-31 puts the coder input near 1e15 cells, where A_n* has no
     # zero-sum coset on some step: point 0 is cut early, the rest go on.
+    # On the integers it crosses 2^51 cells on some steps, where the coder
+    # rounds through round() instead of the float shift.
     GRID = [1e-31, *np.geomspace(0.5, 8.0, 7)]
 
     @pytest.mark.parametrize("case", ["n2", "n3", "partial_n2",
-                                      "partial_n2_cut_pre_pass"])
+                                      "partial_n2_cut_pre_pass", "n1_laplace",
+                                      "n1_partial", "n1_rounding_overflow"])
     def test_each_point_equals_its_own_run(self, case, monkeypatch):
-        plant = {"n2": two_dim_plant, "n3": three_dim_plant}.get(
+        plant = {"n2": two_dim_plant, "n3": three_dim_plant,
+                 "n1_laplace": lambda: scalar_plant("laplace"),
+                 "n1_partial": scalar_partial_plant,
+                 "n1_rounding_overflow": far_laplace_plant}.get(
             case, two_dim_partial_plant)()
+        grid = list(self.GRID)
+        if case == "n1_rounding_overflow":
+            # x_0 near 1e150: the coder input over the d = 1e-318 cell
+            # overflows round() at step 0
+            grid[0] = 1e-318
         if case.endswith("cut_pre_pass"):
             # K = 0: each point's pre-pass stops near step 80, at a length
             # of its own, so the lockstep meets streams of unequal length
@@ -343,14 +361,22 @@ class TestLockstepSweep:
             return TradeoffPoint(*[math.nan] * 10, res.diverged)
 
         monkeypatch.setattr(simloop, "tradeoff_point", keep)
-        sweep(plant, self.GRID, horizon=2_000, seed=5, burn_in=500)
-        for i, (d, res) in enumerate(zip(self.GRID, results, strict=True)):
+        sweep(plant, grid, horizon=2_000, seed=5, burn_in=500)
+        for i, (d, res) in enumerate(zip(grid, results, strict=True)):
             ss = np.random.SeedSequence(5, spawn_key=(i,))
             cfg = SimConfig(plant, 2_000, d, seed=ss, burn_in=500)
             assert repr(res) == repr(run(cfg))
         steps = [res.steps for res in results]
         if case.endswith("cut_pre_pass"):
             assert max(steps) < 100 and len(set(steps)) > 1
+        elif case == "n1_rounding_overflow":
+            assert set(steps) == {0}
+            # the smallest d's coder stops at its first input
+            cell = simloop.lattice_for_dimension(1).scale_to_distortion(1e-318)
+            q, _ = simloop._wrap(cell, np.eye(1), np.array([[1e150]]))
+            assert len(q) == 0
+        elif case.startswith("n1"):
+            assert set(steps) == {2_000}
         else:
             assert steps[0] < 2_000 and set(steps[1:]) == {2_000}
 
@@ -382,6 +408,22 @@ def square_plants(draw):
     return a, b
 
 
+def _cell_lists(cells):
+    return st.lists(cells, min_size=1, max_size=12)
+
+
+# Coder inputs counted in cells of the integer lattice, one family per
+# example: half-integers, values near +-2^51 and +-2^52 (where the float
+# rounding shift stops being exact), or any float and the non-finite ones.
+WRAP_CELLS = st.one_of(
+    _cell_lists(st.integers(-2 ** 52 + 1, 2 ** 52 - 1).map(lambda k: k + 0.5)),
+    _cell_lists(st.builds(lambda edge, sign, k: sign * (edge + 0.5 * k),
+                          st.sampled_from([2.0 ** 51, 2.0 ** 52]),
+                          st.sampled_from([-1.0, 1.0]), st.integers(-8, 8))),
+    _cell_lists(st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]),
+                          st.floats())))
+
+
 def _plant(a, b):
     n = a.shape[0]
     return LinearPlant(a, b, np.eye(n), np.eye(n),
@@ -396,6 +438,31 @@ class TestEngineProperties:
         assert not first.diverged
         assert run(cfg).digest == first.digest
         assert first.max_step_distortion <= d + 1e-9
+
+    @given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.booleans(),
+           st.sampled_from([0.0, 2.0]), WRAP_CELLS)
+    def test_integer_wrap_rounds_as_round_does(self, scale, snap, m, cells):
+        # The scalar coder rounds in float arithmetic where it can; it must
+        # give round()'s bits and stop on the same input.  With m = 0 and a
+        # power-of-two scale, q / t is each drawn cell count exactly.
+        t = 2.0 ** math.floor(math.log2(scale)) if snap else scale
+        lattice = dataclasses.replace(
+            simloop.lattice_for_dimension(1), scale=t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.array(cells) * t
+        q, p = simloop._wrap(lattice, np.array([[m]]), h[:, None])
+        ref_q, ref_p, eps = [], [], 0.0
+        for hi in h.tolist():
+            qi = m * eps + hi
+            try:
+                pi = round(qi / t) * t
+            except (OverflowError, ValueError):
+                break
+            eps = qi - pi
+            ref_q.append(qi)
+            ref_p.append(pi)
+        assert q[:, 0].tobytes() == np.array(ref_q, dtype=float).tobytes()
+        assert p[:, 0].tobytes() == np.array(ref_p, dtype=float).tobytes()
 
     @given(square_plants(), st.data())
     def test_singular_weight_rejected(self, ab, data):
