@@ -37,9 +37,6 @@ from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel, numerical_rank
 
 LOG2_E = 1.0 / math.log(2.0)
 
-LOWER_KINDS = ("full", "projected", "lowrank", "partial", "partial_projected",
-               "partial_lowrank")
-
 DEFAULT_I_MAX = 64
 INFIMUM_TOL = 1e-9
 # The upper bounds minimize over design distortions on a log grid this long.
@@ -433,11 +430,6 @@ def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source):
     return at
 
 
-_LOWER_BODIES = {"full": _converse, "projected": _projected, "lowrank": _lowrank,
-                 "partial": _converse, "partial_projected": _projected,
-                 "partial_lowrank": _lowrank}
-
-
 def lower_bound_full(plant: LinearPlant, control: ControlRiccati,
                      b: float) -> float:
     """Fully observed converse:
@@ -505,13 +497,12 @@ def rogers_rho_bound(n: int) -> float:
     return 0.5 * math.log(TWO_PI_E) * (math.log(n) + math.log(math.log(n)) + 2.0)
 
 
-def _upper(plant: LinearPlant, control: ControlRiccati,
-           filt: FilterRiccati | None):
-    """entropy_cost_upper as a function of b."""
+def _upper(plant: LinearPlant, control: ControlRiccati, src: _Source):
+    """entropy_cost_upper as a function of b; the coder of a partially
+    observed plant codes its innovation, not its process noise."""
     n = plant.n
-    observed = filt is not None or plant.fully_observed
+    observed = plant.fully_observed or src.jump is not plant.noise_v
     rho = 1.0 if n == 1 else rho_covering(n)
-    src = _source(plant, control, filt)
     converse = _converse(plant, control, src)
 
     @functools.cache
@@ -560,30 +551,33 @@ def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,
     smoothness term that vanishes as b -> b_min (so the sandwich gap tends
     to alpha_n + n log rho).  A partially observed plant needs its filter.
     """
-    return _upper(plant, control, filt)(b)
+    return _upper(plant, control, _source(plant, control, filt))(b)
 
 
 # ---------------------------------------------------------------------------
 # every bound as a function of b
 
+_BODIES = {"full": _converse, "projected": _projected, "lowrank": _lowrank,
+           "partial": _converse, "partial_projected": _projected,
+           "partial_lowrank": _lowrank, "upper": _upper}
+KINDS = (*_BODIES, "floor")
+
+
 def bound_curve(kind: str, plant: LinearPlant, control: ControlRiccati,
                 filt: FilterRiccati | None = None):
     """Bound kind as a function b -> (nats, converged), for a grid of b.
 
-    kind is one of LOWER_KINDS, "upper" or "floor".  The partial_ kinds and
-    "upper" read filt (None for a fully observed plant); the other kinds
-    take the process noise.  Only a truncated infimum is not converged.
-    Each b-free part is computed once, at the first call that needs it.
+    kind is one of KINDS.  The partial_ kinds and "upper" read filt (None
+    for a fully observed plant); the other kinds take the process noise.
+    Only a truncated infimum is not converged.  Each b-free part is
+    computed once, at the first call that needs it.
     """
     if kind == "floor":
         floor = functools.cache(lambda: unstable_floor(plant.A))
         return lambda b: (floor(), True)
-    if kind == "upper":
-        at = _upper(plant, control, filt)
-    else:
-        src = _source(plant, control,
-                      filt if kind.startswith("partial") else None)
-        at = _LOWER_BODIES[kind](plant, control, src)
+    coded = kind == "upper" or kind.startswith("partial")
+    src = _source(plant, control, filt if coded else None)
+    at = _BODIES[kind](plant, control, src)
     if kind.endswith("lowrank"):
         return lambda b: astuple(at(b))
     return lambda b: (at(b), True)
@@ -591,9 +585,11 @@ def bound_curve(kind: str, plant: LinearPlant, control: ControlRiccati,
 
 def sandwich_curve(plant: LinearPlant, control: ControlRiccati,
                    filt: FilterRiccati | None = None):
-    """rate_sandwich as a function of b, for a grid of b."""
-    lower = _converse(plant, control, _source(plant, control, filt))
-    upper = _upper(plant, control, filt)
+    """(converse, coder entropy bound) on the plant's source as a function
+    of b; the upper bound is NaN where it is not defined."""
+    src = _source(plant, control, filt)
+    lower = _converse(plant, control, src)
+    upper = _upper(plant, control, src)
 
     def at(b: float) -> tuple[float, float]:
         low = lower(b)
@@ -605,9 +601,3 @@ def sandwich_curve(plant: LinearPlant, control: ControlRiccati,
 
     return at
 
-
-def rate_sandwich(plant: LinearPlant, control: ControlRiccati, b: float,
-                  filt: FilterRiccati | None = None) -> tuple[float, float]:
-    """(converse, coder entropy bound) at cost b on the plant's source; the
-    upper bound is NaN where it is not defined."""
-    return sandwich_curve(plant, control, filt)(b)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .riccati import b_min, solve_control, solve_filter
+from .riccati import solve_plant
 from .simloop import (SimConfig, TradeoffPoint, check_horizon, run, sweep,
                       tradeoff_point)
 from .sysmodel import LinearPlant, NoiseModel, validate
@@ -34,8 +34,6 @@ CSV_COLUMNS = ("d", "b_hat", "h_hat_nats", "h_hat_bits", "lower_bound_nats",
 POINT_COLUMNS = tuple(zip(
     CSV_COLUMNS, [f.name for f in dataclasses.fields(TradeoffPoint)],
     strict=True))
-
-BOUND_KINDS = bnd.LOWER_KINDS + ("upper", "floor")
 
 DEFAULT_HORIZON = 100_000
 MIN_DECOMPOSE_WINDOW = 10_000
@@ -65,9 +63,17 @@ _KNOWN_KEYS = {"plant", "mode", "bounds", "b_grid", "d_grid", "distortion",
 _PLANT_KEYS = {"a", "b", "q", "r", "c", "noise_v", "noise_w", "noise_x1"}
 
 
+def _numbers(raw):
+    """raw, refused where JSON gave true, false, a string or an object for a
+    number or a nested array of numbers, which float() or int() might take."""
+    if isinstance(raw, (bool, str, dict)):
+        raise TypeError(f"{raw!r} is not a number")
+    return [_numbers(x) for x in raw] if isinstance(raw, list) else raw
+
+
 def _matrix(raw, key: str) -> list[list[float]]:
     try:
-        arr = np.asarray(raw, dtype=float)
+        arr = np.asarray(_numbers(raw), dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key} has the wrong type: {err}") from err
     if arr.ndim != 2:
@@ -90,11 +96,11 @@ def _noise(raw, key: str) -> NoiseModel:
 
 
 def _read(raw: dict, key: str, convert, default=None):
-    """raw[key] (or default) passed through convert; a value of the wrong
-    type is a ConfigError that names the key."""
+    """raw[key] (or default), a number or an array of them, passed through
+    convert; a value of the wrong type is a ConfigError that names the key."""
     value = raw.get(key, default)
     try:
-        return convert(value)
+        return convert(_numbers(value))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key} has the wrong type: {err}") from err
 
@@ -157,10 +163,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                           f"{observed} (C = I and no noise_w is fully observed)")
 
     default_kind = "full" if plant.fully_observed else "partial"
-    kinds = _read(raw, "bounds", tuple, (default_kind, "upper"))
+    kinds = raw.get("bounds", (default_kind, "upper"))
+    if not isinstance(kinds, (list, tuple)):  # tuple() would split a string
+        raise ConfigError(f"bounds has the wrong type: {kinds!r} is not an array")
+    kinds = tuple(kinds)
     for kind in kinds:
-        if kind not in BOUND_KINDS:
-            raise ConfigError(f"unknown bound kind {kind!r}; choose from {BOUND_KINDS}")
+        if kind not in bnd.KINDS:
+            raise ConfigError(f"unknown bound kind {kind!r}; choose from {bnd.KINDS}")
         if kind.startswith("partial") and plant.fully_observed:
             raise ConfigError(f"bound kind {kind!r} needs a partially observed plant")
 
@@ -387,18 +396,12 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _solve(cfg: ExperimentConfig):
-    ctrl = solve_control(cfg.plant)
-    filt = None if cfg.plant.fully_observed else solve_filter(cfg.plant)
-    return ctrl, filt, b_min(cfg.plant, ctrl, filt)
-
-
 def cmd_bound(cfg: ExperimentConfig, args) -> int:
     if not cfg.b_grid:
         raise ConfigError("bound needs a nonempty b_grid")
     if not cfg.bounds:
         raise ConfigError("bound needs a nonempty bounds list")
-    ctrl, filt, bmin = _solve(cfg)
+    ctrl, filt, bmin = solve_plant(cfg.plant)
     # each kind's b-free part is computed at its first feasible row
     curves = {kind: bnd.bound_curve(kind, cfg.plant, ctrl, filt)
               for kind in cfg.bounds}
@@ -429,19 +432,18 @@ def cmd_bound(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _single_run(cfg: ExperimentConfig):
+def _single_run(cfg: ExperimentConfig, ctrl, filt, bmin: float):
     sim = SimConfig(plant=cfg.plant, horizon=cfg.horizon,
                     distortion=cfg.distortion, seed=cfg.seed,
                     burn_in=cfg.burn_in)
-    res = run(sim)
-    ctrl, filt, bmin = _solve(cfg)
+    res = run(sim, ctrl, filt)
     d = cfg.distortion if cfg.distortion is not None else math.nan
-    point = tradeoff_point(cfg.plant, ctrl, filt, bmin, d, res)
-    return res, point, ctrl, filt, bmin
+    return res, tradeoff_point(cfg.plant, ctrl, filt, bmin, d, res)
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    res, point, _, _, bmin = _single_run(cfg)
+    ctrl, filt, bmin = solve_plant(cfg.plant)
+    res, point = _single_run(cfg, ctrl, filt, bmin)
     cells = point_cells(point)
     _print_table(["field", "value"],
                  list(zip(CSV_COLUMNS, cells))
@@ -459,9 +461,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    points = sweep(cfg.plant, cfg.d_grid, horizon=cfg.horizon, seed=cfg.seed,
-                   burn_in=cfg.burn_in)
-    ctrl, filt, bmin = _solve(cfg)
+    ctrl, filt, bmin = solve_plant(cfg.plant)
+    points = sweep(cfg.plant, ctrl, filt, cfg.d_grid, horizon=cfg.horizon,
+                   seed=cfg.seed, burn_in=cfg.burn_in)
 
     print(f"b_min = {bmin:.10g}")
     cells = [point_cells(p) for p in points]
@@ -490,13 +492,14 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def cmd_decompose(cfg: ExperimentConfig, args) -> int:
     short = f"need a post-burn-in window of {MIN_DECOMPOSE_WINDOW} steps"
+    ctrl, filt, bmin = solve_plant(cfg.plant)
     if cfg.horizon - cfg.burn_in < MIN_DECOMPOSE_WINDOW:
         # refused without simulating; a coder weight the run would refuse
         # is still reported first
         if cfg.distortion is not None:
-            bnd.whitening(solve_control(cfg.plant).W)
+            bnd.whitening(ctrl.W)
         raise ConfigError(short)
-    res, point, ctrl, filt, bmin = _single_run(cfg)
+    res, point = _single_run(cfg, ctrl, filt, bmin)
     if res.window < MIN_DECOMPOSE_WINDOW:  # the run diverged early
         raise ConfigError(short)
     c_ref = float(np.trace(cfg.plant.noise_v.covariance @ ctrl.S))
@@ -528,7 +531,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
         ["observability_rank", str(report.observability_rank)],
     ]
     if report.ok:  # the Riccati solves need a structurally sound plant
-        ctrl, filt, bmin = _solve(cfg)
+        ctrl, filt, bmin = solve_plant(cfg.plant)
         rows.append(["control_iterations", str(ctrl.iterations)])
         rows.append(["control_residual", _fmt(ctrl.residual)])
         if filt is not None:

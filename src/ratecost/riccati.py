@@ -5,7 +5,8 @@ Riccati equation is the control equation on the dual plant
 (A^T, C^T, Sigma_V, Sigma_W).  The iteration stops when the Frobenius change
 of the iterate drops below max(ABS_TOL * min(1, ||X||_F), REL_TOL * ||X||_F),
 or is exactly zero, so the rule does not depend on the scale of the plant's
-costs or noise; a non-finite iterate is a failure, not a fixed point.
+costs or noise, nor do its norms; a non-finite iterate is a failure, not
+a fixed point.  ``solve_plant`` decides which equations a plant needs.
 Value iteration is slower than a Schur/invariant-subspace solver but it is
 the direct transcription of the finite-horizon recursions whose limits
 define every quantity used by the bounds, which makes the iterates easy to
@@ -89,6 +90,27 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
+def _fro(mat: np.ndarray) -> float:
+    """Frobenius norm as np.linalg.norm sums it, at any scale: a sum of
+    squares near under- or overflow is taken again, exactly, on mat over
+    the power of two above its largest entry.  inf or NaN if an entry is."""
+    squares = np.vdot(mat, mat)
+    if 2.0 ** -900 < squares < 2.0 ** 900:
+        return math.sqrt(squares)
+    big = float(np.abs(mat).max())  # 0, inf and NaN give a scale of 1
+    scale = math.ldexp(1.0, min(-math.frexp(big)[1], 1023))
+    return math.sqrt(np.vdot(mat * scale, mat * scale)) / scale
+
+
+def _step(a, b, q, r, x):
+    """One step from X: (Q + A^T (X - M) A, M, L, R + B^T X B, pinv used)."""
+    bx = b.T @ x
+    gain_cost = r + bx @ b
+    l_gain, pinv = _solve_psd(gain_cost, bx)
+    m = _sym(bx.T @ l_gain)
+    return _sym(q + a.T @ (x - m) @ a), m, l_gain, gain_cost, pinv
+
+
 def _value_iterate(
     a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray, x0: np.ndarray,
 ) -> tuple[np.ndarray, int, bool]:
@@ -96,22 +118,18 @@ def _value_iterate(
 
     M(X) = X B (R + B^T X B)^{-1} B^T X.  Returns the last iterate, the
     iteration count and whether the pseudo-inverse fallback was needed.
-    An iterate whose norm overflows or is NaN raises RiccatiError, with no
+    An iterate with an infinite or NaN entry raises RiccatiError, with no
     numpy warning: an inf norm would otherwise pass the stop test.
     """
     x = x0.copy()
     used_pinv = False
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITER + 1):
-            bx = b.T @ x
-            gain_cost = r + bx @ b
-            l_gain, pinv = _solve_psd(gain_cost, bx)
+            x_next, *_, pinv = _step(a, b, q, r, x)
             used_pinv = used_pinv or pinv
-            m = _sym(bx.T @ l_gain)
-            x_next = _sym(q + a.T @ (x - m) @ a)
-            delta = float(np.linalg.norm(x_next - x))
+            delta = _fro(x_next - x)
             x = x_next
-            size = float(np.linalg.norm(x))
+            size = _fro(x)
             if not math.isfinite(size):
                 raise RiccatiError(f"Riccati value iteration diverged: the "
                                    f"iterate is not finite at iteration {it}")
@@ -125,13 +143,7 @@ def solve_control(plant: LinearPlant) -> ControlRiccati:
     """Value-iterate S <- Q + A^T (S - M(S)) A from S = Q."""
     a, b, q, r = plant.A, plant.B, plant.Q, plant.R
     s, it, used_pinv = _value_iterate(a, b, q, r, q)
-
-    bs = b.T @ s
-    gain_cost = r + bs @ b
-    l_gain, pinv = _solve_psd(gain_cost, bs)
-    used_pinv = used_pinv or pinv
-    m = _sym(bs.T @ l_gain)
-    residual = float(np.linalg.norm(s - _sym(q + a.T @ (s - m) @ a)))
+    s_next, m, l_gain, gain_cost, pinv = _step(a, b, q, r, s)
     return ControlRiccati(
         S=s,
         M=m,
@@ -139,8 +151,8 @@ def solve_control(plant: LinearPlant) -> ControlRiccati:
         W=a.T @ m @ a,
         gain_cost=gain_cost,
         iterations=it,
-        residual=residual,
-        pseudo_inverse_used=used_pinv,
+        residual=_fro(s - s_next),
+        pseudo_inverse_used=used_pinv or pinv,
     )
 
 
@@ -168,7 +180,7 @@ def solve_filter(plant: LinearPlant) -> FilterRiccati:
     k = k_gain_t.T
     sigma = _sym(p - k @ innov @ k.T)
     n_jump = _sym(k @ innov @ k.T)
-    residual = float(np.linalg.norm(p - _sym(a @ sigma @ a.T + sigma_v)))
+    residual = _fro(p - _sym(a @ sigma @ a.T + sigma_v))
     return FilterRiccati(
         P=p,
         K=k,
@@ -179,6 +191,14 @@ def solve_filter(plant: LinearPlant) -> FilterRiccati:
         residual=residual,
         pseudo_inverse_used=used_pinv,
     )
+
+
+def solve_plant(plant: LinearPlant) -> tuple[ControlRiccati, FilterRiccati | None, float]:
+    """(control, filter or None when fully observed, b_min).  No coder
+    changes the pair, so one solve serves every bound and run of a plant."""
+    ctrl = solve_control(plant)
+    filt = None if plant.fully_observed else solve_filter(plant)
+    return ctrl, filt, b_min(plant, ctrl, filt)
 
 
 def b_min(

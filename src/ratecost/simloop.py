@@ -41,10 +41,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .bounds import rate_sandwich, whitening
+from .bounds import sandwich_curve, whitening
 from .quantizer import (MIN_ENTROPY_SAMPLES, EntropyEstimate,
                         empirical_entropy, lattice_for_dimension)
-from .riccati import b_min, solve_control, solve_filter
+from .riccati import b_min
 from .sysmodel import LinearPlant
 
 DIVERGENCE_NORM = 1e12
@@ -67,7 +67,8 @@ MIN_SWEEP_POINTS = 8
 class SimConfig:
     """One closed-loop run: quantized when distortion is set, else the
     classical (rate-unconstrained) loop.  The plant's observation structure
-    decides whether the coder sees the process noise or the innovation."""
+    decides whether the coder sees the process noise or the innovation.
+    seed is an int or a SeedSequence; either way a config replays."""
 
     plant: LinearPlant
     horizon: int
@@ -120,10 +121,12 @@ def _batch_se(series: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(BATCH_COUNT))
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
+def _streams(seed) -> list[np.random.SeedSequence]:
+    """SeedSequence(seed).spawn(3), without advancing a SeedSequence seed."""
+    ss = (seed if isinstance(seed, np.random.SeedSequence)
+          else np.random.SeedSequence(int(seed)))
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (j,),
+                                   pool_size=ss.pool_size) for j in range(3)]
 
 
 def _mv(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -271,19 +274,9 @@ def _diverged_result(steps: int, window: int, digest: str) -> SimResult:
                      window=window, digest=digest)
 
 
-def run(cfg: SimConfig) -> SimResult:
-    """Simulate one closed loop and audit its cost decomposition."""
-    ctrl, filt = _solve(cfg.plant)
-    return _run(cfg, ctrl, filt)
-
-
-def _solve(plant: LinearPlant):
-    ctrl = solve_control(plant)
-    return ctrl, None if plant.fully_observed else solve_filter(plant)
-
-
-def _run(cfg: SimConfig, ctrl, filt) -> SimResult:
-    """``run`` on the plant's Riccati solutions, solved by the caller."""
+def run(cfg: SimConfig, ctrl, filt) -> SimResult:
+    """Simulate one closed loop on the plant's Riccati pair (from
+    ``solve_plant``) and audit its cost decomposition."""
     pt = _Point(cfg, ctrl, filt)
     if pt.lattice is None:
         return pt.finish(None, None)
@@ -305,7 +298,7 @@ class _Point:
             self.lattice = lattice_for_dimension(plant.n).scale_to_distortion(
                 cfg.distortion)
 
-        ss_v, ss_init, ss_w = _seed_sequence(cfg.seed).spawn(3)
+        ss_v, ss_init, ss_w = _streams(cfg.seed)
         self.v = plant.noise_v.sample(np.random.default_rng(ss_v),
                                       cfg.horizon)
         self.x0 = plant.noise_x1.sample(np.random.default_rng(ss_init), 1)[0]
@@ -398,19 +391,19 @@ class TradeoffPoint:
     diverged: bool
 
 
-def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
-          burn_in: int = 1000) -> list[TradeoffPoint]:
+def sweep(plant: LinearPlant, ctrl, filt, d_grid, horizon: int,
+          seed: int = 0, burn_in: int = 1000) -> list[TradeoffPoint]:
     """Run one simulation per distortion and pair each empirical point
     with the matching converse and achievability bounds at the measured
     cost.  Points are returned sorted by b_hat, diverged runs last.
 
-    Point i draws its noise from SeedSequence(seed, spawn_key=(i,)).
+    Every point runs on the Riccati pair ctrl, filt, and point i draws its
+    noise from SeedSequence(seed, spawn_key=(i,)).
     """
     d_grid = [float(d) for d in d_grid]
     if len(d_grid) < MIN_SWEEP_POINTS:
         raise ValueError(
             f"sweep needs a d_grid of at least {MIN_SWEEP_POINTS} points")
-    ctrl, filt = _solve(plant)
     bmin = b_min(plant, ctrl, filt)
     cfgs = [SimConfig(plant=plant, horizon=horizon, distortion=d,
                       seed=np.random.SeedSequence(entropy=int(seed),
@@ -435,7 +428,7 @@ def sweep(plant: LinearPlant, d_grid, horizon: int, seed: int = 0,
 
 
 def _run_pooled(cfgs, ctrl, filt) -> list[SimResult]:
-    """``_run`` on each config, one point per task, on as many forked
+    """``run`` on each config, one point per task, on as many forked
     workers as the process may use CPUs.  The scalar loop gains little from
     a points axis, and would hold every point's streams at once; a point is
     a pure function of its config and the Riccati pair, so each worker gives
@@ -449,7 +442,7 @@ def _run_pooled(cfgs, ctrl, filt) -> list[SimResult]:
     workers = min(len(os.sched_getaffinity(0)), len(cfgs))
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        return list(pool.map(_run, cfgs, repeat(ctrl), repeat(filt)))
+        return list(pool.map(run, cfgs, repeat(ctrl), repeat(filt)))
 
 
 def tradeoff_point(plant, ctrl, filt, bmin: float, d: float,
@@ -459,7 +452,7 @@ def tradeoff_point(plant, ctrl, filt, bmin: float, d: float,
     if res.diverged or not res.b_hat > bmin:
         lower = upper = math.nan
     else:
-        lower, upper = rate_sandwich(plant, ctrl, res.b_hat, filt)
+        lower, upper = sandwich_curve(plant, ctrl, filt)(res.b_hat)
     h_nats = math.nan if res.entropy is None else res.entropy.plug_in
     return TradeoffPoint(
         d=d, b_hat=res.b_hat, h_nats=h_nats,

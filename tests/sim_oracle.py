@@ -8,6 +8,9 @@ are the same floating-point expressions the engine evaluates over whole
 streams, so the two must emit identical states and indices: any slip in
 the engine's alignment of streams, its initial condition, its integer fast
 path or its divergence cut shows up as a different digest.
+
+``run_solved`` and ``sweep_solved`` run the engine on the plant's own
+Riccati pair, as the CLI does.
 """
 
 import hashlib
@@ -16,9 +19,20 @@ import numpy as np
 
 from ratecost.bounds import psd_sqrt
 from ratecost.quantizer import lattice_for_dimension
-from ratecost.riccati import solve_control, solve_filter
+from ratecost.riccati import solve_control, solve_filter, solve_plant
+from ratecost.simloop import run, sweep
 
 DIVERGENCE_NORM = 1e12
+
+
+def run_solved(cfg):
+    ctrl, filt, _ = solve_plant(cfg.plant)
+    return run(cfg, ctrl, filt)
+
+
+def sweep_solved(plant, d_grid, **kwargs):
+    ctrl, filt, _ = solve_plant(plant)
+    return sweep(plant, ctrl, filt, d_grid, **kwargs)
 
 
 def mv(mat, x):

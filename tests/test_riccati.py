@@ -228,10 +228,11 @@ class TestScaleInvariance:
     def test_rescaled_plant_scales_the_solution(self, plant):
         # S(sQ, sR) = s S(Q, R) and P(s Sigma) = s P(Sigma) exactly; the
         # reference is the plant at s = 1, not solve_discrete_are, which
-        # can fail to reorder (A, B) at s = 1e-12.
+        # can fail to reorder (A, B) at s = 1e-12.  At s = 1e-150 and
+        # 1e150 the iterate's squared entries leave the double range.
         ctrl = solve_control(plant)
         filt = None if plant.fully_observed else solve_filter(plant)
-        for s in (1e-3, 1e-6, 1e-12):
+        for s in (1e-3, 1e-6, 1e-12, 1e-150, 1e150):
             small = gaussian_plant(
                 plant.A, plant.B, s * plant.Q, s * plant.R,
                 s * plant.noise_v.covariance,
@@ -244,6 +245,17 @@ class TestScaleInvariance:
                 p_small = solve_filter(small).P / s
                 assert (np.linalg.norm(p_small - filt.P)
                         <= 1e-9 * np.linalg.norm(filt.P))
+
+    @pytest.mark.parametrize("s", [1e-160, 1e155])
+    def test_scalar_solution_where_squares_leave_the_double_range(self, s):
+        # The stop test's norms used to underflow at 1e-160 (a stop after
+        # 5 iterations at S/s = 4.2353) and overflow at 1e155 (a raise
+        # at iteration 1)
+        plant = gaussian_plant([[2.0]], [[1.0]], [[s]], [[s]], [[1.0]])
+        ctrl = solve_control(plant)
+        assert math.isclose(ctrl.S[0, 0] / s, S_SCALAR, rel_tol=1e-10)
+        assert math.isclose(ctrl.L[0, 0], L_SCALAR, rel_tol=1e-10)
+        assert ctrl.residual <= 1e-12 * ctrl.S[0, 0]
 
     @pytest.mark.parametrize("s", [1e-13, 1e-20, 1e-100])
     def test_scalar_gains_at_small_scale(self, s):

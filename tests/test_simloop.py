@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import sim_oracle
-from sim_oracle import mv, oracle_digest
+from sim_oracle import mv, oracle_digest, run_solved, sweep_solved
 
 from ratecost import simloop
-from ratecost.riccati import b_min, solve_control, solve_filter
+from ratecost.riccati import b_min, solve_control, solve_filter, solve_plant
 from ratecost.simloop import (DIVERGENCE_NORM, SimConfig, TradeoffPoint,
                               _linear_filter, run, sweep)
 from ratecost.sysmodel import LinearPlant, NoiseModel
@@ -84,19 +84,19 @@ class TestOracle:
 
     def test_fully_observed_bitwise_equal(self):
         cfg = SimConfig(scalar_plant(), 20_000, 0.8, seed=7)
-        assert run(cfg).digest == oracle_digest(cfg)
+        assert run_solved(cfg).digest == oracle_digest(cfg)
 
     def test_partially_observed_bitwise_equal(self):
         cfg = SimConfig(scalar_partial_plant(), 20_000, 0.8, seed=11)
-        assert run(cfg).digest == oracle_digest(cfg)
+        assert run_solved(cfg).digest == oracle_digest(cfg)
 
     def test_two_dim_bitwise_equal(self):
         cfg = SimConfig(two_dim_plant(), 2_000, 1.0, seed=2, burn_in=500)
-        assert run(cfg).digest == oracle_digest(cfg)
+        assert run_solved(cfg).digest == oracle_digest(cfg)
 
     def test_diverged_run_bitwise_equal(self):
         cfg = SimConfig(scalar_plant(x1_var=1e30), 5_000, 1.0, seed=0)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.diverged
         assert res.digest == oracle_digest(cfg)
 
@@ -106,7 +106,7 @@ class TestOracle:
         plant = LinearPlant([[2.0]], [[1.0]], [[1.0]], [[1.0]],
                             NoiseModel("laplace", [[1.0]]),
                             noise_x1=NoiseModel("gaussian", [[1e300]]))
-        res = run(SimConfig(plant, 20_000, 1e-318, seed=2024))
+        res = run_solved(SimConfig(plant, 20_000, 1e-318, seed=2024))
         assert res.diverged
         assert res.steps == 0
 
@@ -122,7 +122,7 @@ class TestOracle:
             cfg = SimConfig(plant, 2_000, 1.0, seed=0)
         else:
             cfg = SimConfig(scalar_plant(x1_var=1e30), 2_000, 1e-10, seed=0)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.diverged
         assert res.steps == 0
         assert res.digest == oracle_digest(cfg)
@@ -131,11 +131,12 @@ class TestOracle:
         # With K = 0 the prediction error grows as 2^i, so the pre-pass
         # stops before the horizon; its short rows used to meet the
         # full-length observation noise in a numpy broadcast error.
-        monkeypatch.setattr(simloop, "solve_filter", zero_filter_gain)
         monkeypatch.setattr(sim_oracle, "solve_filter", zero_filter_gain)
+        plant = scalar_partial_plant()
+        ctrl, filt = solve_control(plant), zero_filter_gain(plant)
         for d in (1.0, None):
-            cfg = SimConfig(scalar_partial_plant(), 2_000, d, seed=0)
-            res = run(cfg)
+            cfg = SimConfig(plant, 2_000, d, seed=0)
+            res = run(cfg, ctrl, filt)
             assert res.diverged
             assert 0 < res.steps < 100
             if d is not None:
@@ -145,21 +146,30 @@ class TestOracle:
 class TestDeterminism:
     def test_same_seed_same_digest(self):
         cfg = SimConfig(scalar_plant(), 10_000, 1.0, seed=123)
-        a = run(cfg)
-        b = run(cfg)
+        a = run_solved(cfg)
+        b = run_solved(cfg)
         assert a.digest == b.digest
         assert a.b_hat == b.b_hat
 
+    def test_seed_sequence_config_replays(self):
+        # a run used to spawn its streams off the config's SeedSequence,
+        # which advanced it: the second run drew new noise
+        cfg = SimConfig(scalar_plant("laplace"), 20_000, 1.0,
+                        seed=np.random.SeedSequence(5))
+        assert run_solved(cfg).digest == run_solved(cfg).digest
+        fresh = dataclasses.replace(cfg, seed=np.random.SeedSequence(5))
+        assert run_solved(fresh).digest == run_solved(cfg).digest
+
     def test_different_seed_differs(self):
         base = dict(plant=scalar_plant(), horizon=10_000, distortion=1.0)
-        assert (run(SimConfig(seed=1, **base)).digest
-                != run(SimConfig(seed=2, **base)).digest)
+        assert (run_solved(SimConfig(seed=1, **base)).digest
+                != run_solved(SimConfig(seed=2, **base)).digest)
 
 
 class TestFullyObserved:
     def test_separation_audit(self):
         cfg = SimConfig(scalar_plant(), 100_000, 1.0, seed=5)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert not res.diverged
         assert abs(res.residual) <= 3.0 * res.se_b
         assert res.e_hat == 0.0
@@ -168,7 +178,7 @@ class TestFullyObserved:
 
     def test_unquantized_reaches_classical_cost(self):
         cfg = SimConfig(scalar_plant(), 200_000, None, seed=9)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.entropy is None
         assert res.d_hat == 0.0
         assert abs(res.b_hat - BMIN_FULL) / BMIN_FULL < 0.02
@@ -178,21 +188,21 @@ class TestFullyObserved:
         # origin.  Any nonzero state instead feeds the doubling map e -> a*e
         # inside the dead zone, so the error rides at cell scale forever.
         cfg = SimConfig(scalar_plant(var=0.0), 5_000, 1.0, seed=1)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.b_hat == 0.0
         assert res.entropy.support == 1
         assert res.entropy.plug_in == 0.0
 
     def test_tiny_noise_error_rides_the_cell(self):
         cfg = SimConfig(scalar_plant(var=1e-20), 20_000, 1.0, seed=1)
-        res = run(cfg)
+        res = run_solved(cfg)
         # Uniform steady error on the cell gives d/3 in weighted terms.
         assert res.c_hat < 1e-12
         assert abs(res.d_hat - 1.0 / 3.0) < 0.02
 
     def test_divergence_flag(self):
         cfg = SimConfig(scalar_plant(x1_var=1e30), 5_000, 1.0, seed=0)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.diverged
         assert res.steps == 0  # x_0 is past DIVERGENCE_NORM
         assert res.b_hat == math.inf
@@ -202,7 +212,7 @@ class TestFullyObserved:
 class TestPartiallyObserved:
     def test_unquantized_reaches_partial_cost(self):
         cfg = SimConfig(scalar_partial_plant(), 400_000, None, seed=17)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.d_hat == 0.0
         assert res.e_hat > 0.0
         assert abs(res.b_hat - BMIN_PARTIAL) / BMIN_PARTIAL < 0.02
@@ -214,8 +224,8 @@ class TestPartiallyObserved:
                             noise_w=NoiseModel("gaussian", [[1e-12]]))
         cfg_p = SimConfig(plant, 150_000, 1.0, seed=21)
         cfg_f = SimConfig(scalar_plant(), 150_000, 1.0, seed=21)
-        res_p = run(cfg_p)
-        res_f = run(cfg_f)
+        res_p = run_solved(cfg_p)
+        res_f = run_solved(cfg_f)
         assert abs(res_p.b_hat - res_f.b_hat) / res_f.b_hat < 0.02
 
     def test_non_gaussian_rejected(self):
@@ -224,14 +234,14 @@ class TestPartiallyObserved:
                             noise_w=NoiseModel("gaussian", [[1.0]]))
         cfg = SimConfig(plant, 5_000, 1.0)
         with pytest.raises(Exception, match="[Gg]aussian"):
-            run(cfg)
+            run_solved(cfg)
 
 
 class TestMatrixPlant:
     def test_two_dim_loop_runs_and_separates(self):
         plant = two_dim_plant()
         cfg = SimConfig(plant, 60_000, 1.0, seed=2)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert not res.diverged
         assert abs(res.residual) <= 3.0 * res.se_b
         assert res.max_step_distortion <= 1.0 + 1e-9
@@ -242,7 +252,7 @@ class TestMatrixPlant:
 
     def test_two_dim_diverged_run_bitwise_equal(self):
         cfg = SimConfig(two_dim_plant(x1_var=1e26), 5_000, 1.0, seed=0)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.diverged
         assert res.digest == oracle_digest(cfg)
 
@@ -251,7 +261,7 @@ class TestMatrixPlant:
         # a first state near 1e18 is beyond the A_n* decode on seeds 0, 1, 3
         # and 4, which used to raise its ValueError out of run
         cfg = SimConfig(two_dim_plant(x1_var=1e36), 2_000, 1.0, seed=seed)
-        res = run(cfg)
+        res = run_solved(cfg)
         assert res.diverged
         assert res.steps <= 1
         assert res.digest == oracle_digest(cfg)
@@ -288,14 +298,14 @@ class TestMatrixPlant:
 class TestSweep:
     def test_requires_eight_points(self):
         with pytest.raises(ValueError, match="grid"):
-            sweep(scalar_plant(), [0.5] * 5, horizon=5_000)
+            sweep_solved(scalar_plant(), [0.5] * 5, horizon=5_000)
 
     def test_dominance_and_ordering(self):
         # Grid stays away from b_min where the bound is steep enough that
         # short-run jitter in b_hat could fake a crossing.
         plant = scalar_plant()
         grid = np.geomspace(1.5, 12.0, 8)
-        pts = sweep(plant, grid, horizon=50_000, seed=6)
+        pts = sweep_solved(plant, grid, horizon=50_000, seed=6)
         assert len(pts) == 8
         live = [p for p in pts if not p.diverged]
         b_vals = [p.b_hat for p in live]
@@ -350,10 +360,11 @@ class TestLockstepSweep:
             # x_0 near 1e150: the coder input over the d = 1e-318 cell
             # overflows round() at step 0
             grid[0] = 1e-318
+        ctrl, filt, _ = solve_plant(plant)
         if case.endswith("cut_pre_pass"):
             # K = 0: each point's pre-pass stops near step 80, at a length
             # of its own, so the lockstep meets streams of unequal length
-            monkeypatch.setattr(simloop, "solve_filter", zero_filter_gain)
+            filt = zero_filter_gain(plant)
         results = []
 
         def keep(plant, ctrl, filt, bmin, d, res):
@@ -361,11 +372,11 @@ class TestLockstepSweep:
             return TradeoffPoint(*[math.nan] * 10, res.diverged)
 
         monkeypatch.setattr(simloop, "tradeoff_point", keep)
-        sweep(plant, grid, horizon=2_000, seed=5, burn_in=500)
+        sweep(plant, ctrl, filt, grid, horizon=2_000, seed=5, burn_in=500)
         for i, (d, res) in enumerate(zip(grid, results, strict=True)):
             ss = np.random.SeedSequence(5, spawn_key=(i,))
             cfg = SimConfig(plant, 2_000, d, seed=ss, burn_in=500)
-            assert repr(res) == repr(run(cfg))
+            assert repr(res) == repr(run(cfg, ctrl, filt))
         steps = [res.steps for res in results]
         if case.endswith("cut_pre_pass"):
             assert max(steps) < 100 and len(set(steps)) > 1
@@ -379,18 +390,6 @@ class TestLockstepSweep:
             assert set(steps) == {2_000}
         else:
             assert steps[0] < 2_000 and set(steps[1:]) == {2_000}
-
-    @pytest.mark.parametrize("plant", [scalar_partial_plant,
-                                       two_dim_partial_plant])
-    def test_riccati_pair_is_solved_once(self, plant, monkeypatch):
-        calls = []
-        for name in ("solve_control", "solve_filter"):
-            def counted(p, _solve=getattr(simloop, name), _name=name):
-                calls.append(_name)
-                return _solve(p)
-            monkeypatch.setattr(simloop, name, counted)
-        sweep(plant(), np.geomspace(1.0, 8.0, 8), horizon=2_000, seed=1)
-        assert calls == ["solve_control", "solve_filter"]
 
 
 # Random plants x' = A x + B u + v with Q = R = I.  A is strictly diagonally
@@ -434,9 +433,9 @@ class TestEngineProperties:
     @given(square_plants(), st.floats(0.05, 20.0), st.integers(0, 2**32 - 1))
     def test_replay_and_distortion_bound(self, ab, d, seed):
         cfg = SimConfig(_plant(*ab), 1_200, d, seed=seed, burn_in=100)
-        first = run(cfg)
+        first = run_solved(cfg)
         assert not first.diverged
-        assert run(cfg).digest == first.digest
+        assert run_solved(cfg).digest == first.digest
         assert first.max_step_distortion <= d + 1e-9
 
     @given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.booleans(),
@@ -470,4 +469,4 @@ class TestEngineProperties:
         a = a.copy()
         a[:, data.draw(st.integers(0, a.shape[0] - 1))] = 0.0
         with pytest.raises(ValueError, match="singular"):
-            run(SimConfig(_plant(a, b), 1_200, 1.0, burn_in=100))
+            run_solved(SimConfig(_plant(a, b), 1_200, 1.0, burn_in=100))
