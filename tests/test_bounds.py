@@ -497,8 +497,10 @@ FROZEN_PARTIAL = [
                          0.25722047007433685, None)),
     ((4, 4, 2, 2), 0.1, (-0.6411881830931551, 0.32595076484793095,
                          1.9338256873616562, None)),
+    # partial_lowrank here is the value on S and P from a 40-digit fixed
+    # point: the value frozen first was 1.5e-12 relative off it
     ((4, 4, 2, 2), 2.0, (-0.6411881830931551, 0.32595076484793095,
-                         -0.08614650319317217, None)),
+                         -0.08614650319304523, None)),
     ((5, 4, 4, 4), 0.1, (0.3427447884749605, 0.31151822909286775,
                          0.34274478847490325, 1822.4968630012456)),
     ((5, 4, 4, 4), 2.0, (-0.6270831722887783, 0.29257488452051067,

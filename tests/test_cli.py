@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import unittest.mock
 import warnings
 import xml.dom.minidom
@@ -526,14 +527,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 1
         assert "not controllable" in capsys.readouterr().err
 
-    def test_overflowing_riccati_iterate_fails(self, tmp_path, capsys):
-        # The 1.5 mode is unstable and uncontrollable: the control Riccati
-        # iterate overflows near iteration 437, where its inf norm used to
-        # pass the stop test.  validate reports the structural cause and
-        # leaves the solve out; bound and simulate stop on the iterate.
+    @staticmethod
+    def uncontrollable_mode_config(tmp_path, pole):
+        """diag(2, pole) with B = [1, 0]^T: the second mode is unreachable."""
         raw = base_config(b_grid=[10.0, 100.0], distortion=1.0)
         raw["plant"].update({
-            "a": [[2.0, 0.0], [0.0, 1.5]],
+            "a": [[2.0, 0.0], [0.0, pole]],
             "b": [[1.0], [0.0]],
             "q": [[1.0, 0.0], [0.0, 1.0]],
             "noise_v": {"family": "gaussian",
@@ -541,6 +540,14 @@ class TestValidateCommand:
         })
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
+        return path
+
+    def test_overflowing_riccati_iterate_fails(self, tmp_path, capsys):
+        # The 1.5 mode is unstable and uncontrollable: the control Riccati
+        # iterate overflows near iteration 874, where its inf norm used to
+        # pass the stop test.  validate reports the structural cause and
+        # leaves the solve out; bound and simulate stop on the iterate.
+        path = self.uncontrollable_mode_config(tmp_path, 1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate", "--config", str(path)]) == 1
@@ -553,6 +560,19 @@ class TestValidateCommand:
                 assert err.startswith("hard assert failed: Riccati value "
                                       "iteration diverged")
                 assert len(err.splitlines()) == 1
+
+    def test_unreachable_unit_circle_mode_fails_fast(self, tmp_path, capsys):
+        # The mode at 1 grows the iterate linearly and never overflows; it
+        # used to take 100,000 value iterations (about 5 s) to exit 1
+        path = self.uncontrollable_mode_config(tmp_path, 1.0)
+        for command in ("bound", "simulate"):
+            start = time.perf_counter()
+            assert main([command, "--config", str(path)]) == 1
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("hard assert failed: Riccati value "
+                                  "iteration did not converge")
+            assert len(err.splitlines()) == 1
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

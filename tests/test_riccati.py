@@ -1,15 +1,19 @@
 import math
 import time
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
-from ratecost.riccati import RiccatiError, b_min, solve_control, solve_filter
+from ratecost.riccati import (RiccatiError, _doubled_iterates, _step,
+                              _value_iterate, b_min, solve_control,
+                              solve_filter)
 from ratecost.sysmodel import LinearPlant, NoiseModel
+from test_bounds import matrix_plant
 
 # Closed forms for the scalar benchmark A=2, B=C=Q=R=1, unit noise:
 #   S = P = 2 + sqrt(5), M = N = (7 + 3 sqrt(5))/4, L = K = Sigma = (1 + sqrt(5))/4.
@@ -101,12 +105,69 @@ class TestControlRiccati:
             with pytest.raises(RiccatiError, match="not finite at iteration"):
                 solve_control(plant)
 
+    def test_unreachable_unit_circle_mode_raises(self):
+        # The mode at 1 is uncontrollable, so S grows linearly with the
+        # horizon and never overflows: the doubling pass must give up at its
+        # cap rather than take a relative stop at H_22 = 2^k
+        plant = gaussian_plant(np.diag([2.0, 1.0]), [[1.0], [0.0]], np.eye(2),
+                               [[1.0]], np.eye(2))
+        start = time.perf_counter()
+        with pytest.raises(RiccatiError, match="did not converge"):
+            solve_control(plant)
+        assert time.perf_counter() - start < 1.0
+
+    def test_slow_closed_loop_converges(self):
+        # Closed loop 1 - 1.25e-4: the value iteration from S = Q takes
+        # 98,563 steps and stops 4e-11 short, and fewer than 19 doublings
+        # would refuse the plant
+        beta = 1.25e-4
+        plant = gaussian_plant([[1.0]], [[beta]], [[1.0]], [[1.0]], [[1.0]])
+        start = time.perf_counter()
+        s = solve_control(plant).S[0, 0]
+        assert time.perf_counter() - start < 1.0
+        assert math.isclose(s, 0.5 + math.sqrt(0.25 + beta**-2), rel_tol=1e-12)
+
     def test_nan_plant_fails_at_once(self):
         plant = gaussian_plant([[math.nan]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RiccatiError, match="at iteration 1$"):
                 solve_control(plant)
+
+
+    def test_scalar_solution_to_a_few_ulp(self):
+        # S = 2 + sqrt(5); a value iteration from S = Q stopped 84 ulp short
+        plant = gaussian_plant([[2.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        exact = 2.0 + math.sqrt(5.0)
+        assert abs(solve_control(plant).S[0, 0] - exact) <= 4 * math.ulp(exact)
+
+
+def mp_fixed_point(a, b, q, r, x0):
+    """40-digit value iteration from the float solution x0 until the change
+    is below 1e-36 relative.  Each iterate is symmetrized: otherwise its
+    antisymmetric rounding grows at rho(A)^2 per step."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, q, r, x = (mpmath.matrix(v.tolist()) for v in (a, b, q, r, x0))
+        for _ in range(1000):
+            bx = b.T * x
+            x_next = q + a.T * (x - bx.T * (r + bx * b) ** -1 * bx) * a
+            x_next = (x_next + x_next.T) / 2
+            change = mpmath.mnorm(x_next - x, "f") / mpmath.mnorm(x_next, "f")
+            x = x_next
+            if change < mpmath.mpf("1e-36"):
+                return np.array(x.tolist(), dtype=float)
+    raise AssertionError("the 40-digit reference did not converge")
+
+
+def test_pair_matches_a_40_digit_reference():
+    plant = matrix_plant(4, 4, 2, 2)
+    ctrl, filt = solve_control(plant), solve_filter(plant)
+    s_ref = mp_fixed_point(plant.A, plant.B, plant.Q, plant.R, ctrl.S)
+    p_ref = mp_fixed_point(plant.A.T, plant.C.T, plant.noise_v.covariance,
+                           plant.obs_cov, filt.P)
+    assert np.linalg.norm(ctrl.S - s_ref) <= 1e-14 * np.linalg.norm(s_ref)
+    assert np.linalg.norm(filt.P - p_ref) <= 1e-14 * np.linalg.norm(p_ref)
 
 
 class TestFilterRiccati:
@@ -132,6 +193,19 @@ class TestFilterRiccati:
         sol = solve_filter(plant)
         assert sol.Sigma[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert sol.N[0, 0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_unexcited_unstable_mode_starts_from_sigma_x1(self):
+        # Sigma_V leaves the mode at 2 unexcited, so P = 0 there is a fixed
+        # point too; from P = Sigma_X1 the recursion reaches the stabilising
+        # P = 4 P / (P + 1) = 3, the Kalman prior variance, and the solver
+        # must land there, not at the limit from P = 0
+        plant = LinearPlant(np.diag([2.0, 0.5]), np.eye(2), np.eye(2), np.eye(2),
+                            NoiseModel("gaussian", np.diag([0.0, 1.0])), c=np.eye(2),
+                            noise_w=NoiseModel("gaussian", np.eye(2)),
+                            noise_x1=NoiseModel("gaussian", np.eye(2)))
+        sol = solve_filter(plant)
+        assert math.isclose(sol.P[0, 0], 3.0, rel_tol=1e-12)
+        assert math.isclose(sol.K[0, 0], 0.75, rel_tol=1e-12)
 
     def test_jump_covariance_identity(self):
         # K (C P C' + Sigma_W) K' must equal A Sigma A' - Sigma + Sigma_V.
@@ -177,12 +251,12 @@ def _spd(rng, n, scale):
 
 
 @st.composite
-def random_plants(draw):
-    """Generic random plant, n <= 6, m <= n, with weights and noise at one
-    scale drawn from {1, 1e3, 1e6}; partially observed on half the draws.
-    R and Sigma_W are zero on some draws (pseudo-inverse path)."""
+def random_plants(draw, max_n=6):
+    """Generic random plant, n <= max_n, m <= n, with weights and noise at
+    one scale drawn from {1, 1e3, 1e6}; partially observed on half the
+    draws.  R and Sigma_W are zero on some draws (pseudo-inverse path)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, n))
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     a = rng.standard_normal((n, n))
@@ -267,3 +341,37 @@ class TestScaleInvariance:
                             rel_tol=1e-10)
         assert math.isclose(solve_filter(plant).K[0, 0], L_SCALAR,
                             rel_tol=1e-10)
+
+
+class TestDoubling:
+    @given(random_plants(max_n=4))
+    def test_doubled_iterate_is_the_value_iterate(self, plant):
+        # (A_k, G_k, H_k) takes X to the value iterate 2^k steps on: H_k
+        # from X = 0, H_k + A_k^T Q (I + G_k Q)^{-1} A_k from X = Q.  A
+        # generic B reaches every mode, so the plant is stabilisable.
+        a, b, q, r = plant.A, plant.B, plant.Q, plant.R
+        assume(np.linalg.eigvalsh(r).min() > 0.0)
+        x, y = np.zeros_like(q), q
+        steps = 0
+        for k, (a_k, g_k, h) in enumerate(islice(_doubled_iterates(a, b, q, r), 4), 1):
+            while steps < 2**k:
+                x, y = _step(a, b, q, r, x)[0], _step(a, b, q, r, y)[0]
+                steps += 1
+            from_q = h + a_k.T @ q @ np.linalg.solve(np.eye(len(a)) + g_k @ q, a_k)
+            assert np.linalg.norm(h - x) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(from_q - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_singular_r_and_sigma_w_keep_the_plain_start(self):
+        # R and Sigma_W without a Cholesky factor: no doubling, and the
+        # solution is the value iteration's from Q and Sigma_X1, bit for bit
+        plant = LinearPlant(0.9 * np.eye(2), np.eye(2), np.eye(2),
+                            np.diag([1.0, 0.0]),
+                            NoiseModel("gaussian", np.eye(2)), c=np.eye(2),
+                            noise_w=NoiseModel("gaussian", np.diag([0.0, 1.0])),
+                            noise_x1=NoiseModel("gaussian", 5.0 * np.eye(2)))
+        a, b, c = plant.A, plant.B, plant.C
+        s_plain = _value_iterate(a, b, plant.Q, plant.R, plant.Q)[0]
+        p_plain = _value_iterate(a.T, c.T, plant.noise_v.covariance,
+                                 plant.obs_cov, plant.noise_x1.covariance)[0]
+        assert np.array_equal(solve_control(plant).S, s_plain)
+        assert np.array_equal(solve_filter(plant).P, p_plain)
