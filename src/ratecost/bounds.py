@@ -195,8 +195,10 @@ class ProjectionSpec:
     """Orthogonal change of basis isolating the ell dominant modes of A.
 
     A = J A' J^{-1} with A' block lower-triangular, the leading ell x ell
-    block carrying the largest-magnitude eigenvalues.  a_prime is
-    |det A'_ell|^(1/ell) and mu_prime prices the retained modes.
+    block carrying the largest-magnitude eigenvalues.  Only the span of
+    J's leading ell columns is fixed; a_prime = |det A'_ell|^(1/ell), the
+    default mu_prime and the entropy power through transform do not depend
+    on the basis chosen within it.
     """
 
     j: np.ndarray
@@ -224,11 +226,11 @@ def make_projection(
 ) -> ProjectionSpec:
     """Build a ProjectionSpec for the ell largest-|eig| modes of plant.A.
 
-    The orthogonal basis J comes from a real Schur decomposition sorted by
-    eigenvalue magnitude; ell must not split a complex pair.  lam is a
-    diagonal (vector) lower bound on J^T M J; mu_prime is the geometric mean
-    of its leading ell entries.  lam defaults to the uniform floor
-    min-eig(J^T M J).
+    The orthogonal basis J leads with the invariant subspace of A^T for the
+    ell largest-|eig| modes (``_ordered_basis``); ell must not split a
+    complex pair.  lam is a diagonal (vector) lower bound on J^T M J;
+    mu_prime is the geometric mean of its leading ell entries.  lam
+    defaults to the uniform floor min-eig(J^T M J).
     """
     a = plant.A
     n = plant.n
@@ -240,8 +242,7 @@ def make_projection(
         return ProjectionSpec(j=np.eye(n), j_inv=np.eye(n), ell=0,
                               a_prime=0.0, mu_prime=0.0)
 
-    # At ell = n the cut -1 keeps every eigenvalue: LAPACK then reorders
-    # nothing and returns the unsorted Schur form.
+    # At ell = n the cut -1 keeps every eigenvalue, and J = I.
     cut_sq = -1.0
     if ell < n:
         mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
@@ -284,24 +285,32 @@ def make_projection(
 
 
 def _ordered_basis(a: np.ndarray, cut_sq: float, want: int):
-    """Schur basis of A with the want eigenvalues of |eig|^2 >= cut_sq
-    clustered leading.
+    """Orthogonal basis of A^T's invariant subspace for the want eigenvalues
+    of |eig|^2 >= cut_sq, leading, completed to all of R^n.
 
-    Returns (J, A') with A = J A' J^T, J orthogonal, A' block
-    lower-quasi-triangular (Schur of A^T, transposed back).  scipy is
-    imported here, not at start-up: only the projected kinds need it.
+    The product of (A^T - mu I)/max|A| over the dropped eigenvalues mu of
+    A^T vanishes on their invariant subspace (Cayley-Hamilton) and maps
+    onto the retained one, so the leading left singular vectors of its real
+    part span it.  Returns (J, A') with A = J A' J^T, J orthogonal, A'
+    block lower-triangular (A'[:want, want:] = 0).  A diagonal A gets an
+    axis-aligned J.
     """
-    from scipy.linalg import schur
-
-    t_mat, z_mat, sdim = schur(
-        a.T, output="real", sort=lambda re, im: re * re + im * im >= cut_sq
-    )
-    if sdim != want:
+    a_t = a.T
+    eigs = np.linalg.eigvals(a_t)
+    dropped = eigs[eigs.real ** 2 + eigs.imag ** 2 < cut_sq]
+    kept = eigs.size - dropped.size
+    if kept != want:
         raise ValueError(
-            f"mode split selected {sdim} eigenvalues, expected {want} "
+            f"mode split selected {kept} eigenvalues, expected {want} "
             "(ell may split a complex pair)"
         )
-    return z_mat, t_mat.T
+    eye = np.eye(len(a))
+    scale = float(np.abs(a).max())
+    prod = eye
+    for mu in dropped:
+        prod = prod @ (a_t - mu * eye) / scale
+    j_mat = np.linalg.svd(prod.real)[0]
+    return j_mat, j_mat.T @ a @ j_mat
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import block_diag, schur
 
 from ratecost import bounds
 from ratecost.bounds import (
@@ -299,6 +300,120 @@ class TestProjection:
         proj = make_projection(plant, ctrl, ell=1)
         got = lower_bound_projected(plant, ctrl, 1e9, proj)
         assert math.isclose(got, math.log(2.0), abs_tol=1e-6)
+
+
+def _schur_basis(a, cut_sq, want):
+    """The ordered real Schur basis of A^T, scipy's, as the oracle for
+    bounds._ordered_basis."""
+    t_mat, z_mat, sdim = schur(
+        a.T, output="real", sort=lambda re, im: re * re + im * im >= cut_sq)
+    assert sdim == want
+    return z_mat, t_mat.T
+
+
+@st.composite
+def mode_plants(draw):
+    """A with n <= 6: a generic Gaussian matrix, rotated Jordan blocks (size
+    <= 3) at distinct real eigenvalues, or rotated complex pairs beside real
+    modes; |eig| up to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["gaussian", "jordan", "pairs"]))
+    if shape == "gaussian":
+        a = rng.standard_normal((n, n))
+        return a * rng.uniform(0.5, 3.0) / np.abs(np.linalg.eigvals(a)).max()
+    blocks, left = [], n
+    while left:
+        r = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
+        if shape == "jordan":
+            size = int(rng.integers(1, min(left, 3) + 1))
+            blocks.append(r * np.eye(size) + np.eye(size, k=1))
+        elif left >= 2 and rng.random() < 0.6:
+            th = rng.uniform(0.1, math.pi - 0.1)
+            blocks.append(r * np.array([[math.cos(th), -math.sin(th)],
+                                        [math.sin(th), math.cos(th)]]))
+        else:
+            blocks.append(np.array([[r]]))
+        left -= len(blocks[-1])
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return rot @ block_diag(*blocks) @ rot.T
+
+
+def _separated_ells(a):
+    """Each ell whose cut leaves a relative |eig| gap of at least 1e-2, and
+    ell = n.  Cuts inside a defective cluster, which roundoff splits by
+    about 1e-8, are left out: every basis gives a roundoff-driven answer
+    there."""
+    mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
+    return [ell for ell in range(1, len(a) + 1)
+            if ell == len(a) or mags[ell - 1] - mags[ell] >= 1e-2 * mags[ell - 1]]
+
+
+def _check_basis_against_schur(a):
+    n = len(a)
+    g = np.random.default_rng(0).standard_normal((n, n))
+    plant = gaussian_plant(a, np.eye(n), np.eye(n), np.eye(n),
+                           g @ g.T / n + 0.1 * np.eye(n),
+                           c=np.eye(n) + 0.3 * g, cov_w=np.eye(n))
+    ctrl, filt = solve_control(plant), solve_filter(plant)
+    for ell in _separated_ells(a):
+        proj = make_projection(plant, ctrl, ell=ell)
+        j = proj.j
+        assert np.abs(j.T @ j - np.eye(n)).max() <= 1e-12
+        assert np.abs((j.T @ a @ j)[:ell, ell:]).max(initial=0.0) <= 1e-9
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_ordered_basis", _schur_basis)
+            ref = make_projection(plant, ctrl, ell=ell)
+        for rel in (1.0, 9.0):
+            b = (1.0 + rel) * b_min(plant, ctrl)
+            b_partial = (1.0 + rel) * b_min(plant, ctrl, filt)
+            pairs = [(lower_bound_projected(plant, ctrl, b, p),
+                      lower_bound_partial_projected(plant, ctrl, filt,
+                                                    b_partial, p))
+                     for p in (proj, ref)]
+            for got, want in zip(*pairs):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (ell, b)
+
+
+# A kept Jordan block at 1.5 in a rotated basis: an eigenvector basis of A^T
+# cannot span its two-dimensional invariant subspace.
+_KEPT_JORDAN = np.array([[1.5, 1.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.5]])
+
+
+class TestModeBasis:
+    @given(mode_plants())
+    def test_matches_the_ordered_schur_basis(self, a):
+        _check_basis_against_schur(a)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_kept_jordan_block(self, seed):
+        rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+        _check_basis_against_schur(rot @ _KEPT_JORDAN @ rot.T)
+
+    # Parent values of the projected bound at b = 2 b_min with B, Q, R and
+    # the noise covariance all I: the basis of a diagonal A is axis-aligned,
+    # as the independent-coordinate families need.
+    @pytest.mark.parametrize("diag, family, want", [
+        ([3.0, 2.0, 0.5], "laplace", 1.8612022541297304),
+        ([3.0, 2.0, 0.5], "uniform", 1.8485105789572964),
+        ([2.0, -2.5, 0.3, 1.5], "laplace", 2.15370015693188),
+        ([2.0, -2.5, 0.3, 1.5], "uniform", 2.1285693585773315),
+    ])
+    def test_non_gaussian_diagonal_plants(self, diag, family, want):
+        n = len(diag)
+        plant = gaussian_plant(np.diag(diag), np.eye(n), np.eye(n), np.eye(n),
+                               np.eye(n), family=family)
+        ctrl = solve_control(plant)
+        got = lower_bound_projected(plant, ctrl, 2.0 * b_min(plant, ctrl))
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+    def test_rotated_modes_refuse_non_gaussian_noise(self):
+        a = np.array([[0.0, 2.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 0.4]])
+        plant = gaussian_plant(a, np.eye(3), np.eye(3), np.eye(3), np.eye(3),
+                               family="laplace")
+        ctrl = solve_control(plant)
+        with pytest.raises(ValueError, match="axis-aligned"):
+            lower_bound_projected(plant, ctrl, 2.0 * b_min(plant, ctrl))
 
 
 class TestLowRankBounds:

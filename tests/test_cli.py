@@ -888,7 +888,7 @@ def test_riccati_pair_is_solved_once(tmp_path, monkeypatch, observed):
 # Run in a fresh interpreter by test_commands_leave_out_scipy: the pool
 # modules loaded by the import, then every command but a projected bound, on
 # a fully and a partially observed plant, then the scipy modules loaded so
-# far, then a projected bound.
+# far, then a projected bound and whether it loaded scipy.linalg.
 STARTUP_SESSION = """
 import contextlib, io, json, sys
 import ratecost, ratecost.cli as cli
@@ -911,9 +911,9 @@ print(json.dumps([code, "scipy.linalg" in sys.modules]))
 
 
 def test_commands_leave_out_scipy(tmp_path):
-    # Only the projected bounds need scipy (the ordered real Schur basis);
-    # importing scipy.linalg costs about 0.3 s and 25 MB of every command's
-    # start-up.
+    # No command needs scipy, the projected bounds included (their mode
+    # basis is built with numpy alone); importing scipy.linalg would cost
+    # about 0.3 s and 20 MB of a command's start-up.
     common = dict(distortion=2.0, d_grid=TestSweepCommand.GRID,
                   horizon=11_000, b_grid=[3.0, 20.0, 100.0])
     full = write_config(tmp_path, "full.json",
@@ -938,7 +938,7 @@ def test_commands_leave_out_scipy(tmp_path):
     pool, loaded, projected_run = map(json.loads, proc.stdout.splitlines())
     assert pool == []  # a sweep imports its worker pool when it needs one
     assert loaded == []
-    assert projected_run == [0, True]
+    assert projected_run == [0, False]
     rows = json.loads((tmp_path / "out" / "bound.json").read_text())["rows"]
     assert [r["kind"] for r in rows if r["nats"] is not None] == [
         "projected", "partial_projected"] * 2
@@ -1136,7 +1136,8 @@ def test_bound_rows_match_the_one_b_functions(tmp_path_factory, raw):
 
 # Plants whose projection fails at the first feasible b: modes 1e-13 apart,
 # and a Jordan block at 1 whose eigenvalues split 1e-8 apart in roundoff
-# (real Schur then selects 2 of them where 1 was asked for).
+# (those of A^T split into a complex pair, so the mode basis selects 2 of
+# them where 1 was asked for).
 _JORDAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
 _ROTATION = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
 UNPROJECTABLE = {
