@@ -79,10 +79,16 @@ def _require_feasible(b: float, bmin: float) -> float:
 # ---------------------------------------------------------------------------
 # rate floor and causal Shannon lower bounds (source-coding level)
 
+def _modes(a_mat) -> np.ndarray:
+    """Eigenvalues of A, largest |eig| first (a stable sort).  Every mode
+    count and cut of this module reads this one spectrum."""
+    eigs = np.linalg.eigvals(np.asarray(a_mat, dtype=float))
+    return eigs[np.argsort(-np.abs(eigs), kind="stable")]
+
+
 def unstable_floor(a_mat) -> float:
     """sum(log|eig|) over the unstable (|eig| >= 1) modes of A, nats."""
-    eigs = np.linalg.eigvals(np.asarray(a_mat, dtype=float))
-    mags = np.abs(eigs)
+    mags = np.abs(_modes(a_mat))
     return float(np.sum(np.log(mags[mags >= 1.0])))
 
 
@@ -142,7 +148,7 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     if not (1 <= m <= kdim <= n):
         raise ValueError(f"need rows(L)={m} <= cols(K)={kdim} <= n={n}")
 
-    eig_mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1][:m]
+    eig_mags = np.abs(_modes(a))[:m]
     if np.all(eig_mags > 0.0):
         a_limit = float(np.exp(np.mean(np.log(eig_mags))))
     else:
@@ -194,28 +200,22 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
 class ProjectionSpec:
     """Orthogonal change of basis isolating the ell dominant modes of A.
 
-    A = J A' J^{-1} with A' block lower-triangular, the leading ell x ell
-    block carrying the largest-magnitude eigenvalues.  Only the span of
-    J's leading ell columns is fixed; a_prime = |det A'_ell|^(1/ell), the
-    default mu_prime and the entropy power through transform do not depend
-    on the basis chosen within it.
+    A = J A' J^T with J orthogonal and A' block lower-triangular, the
+    leading ell x ell block carrying the largest-magnitude eigenvalues.
+    Only the span of J's leading ell columns is fixed; a_prime =
+    |det A'_ell|^(1/ell), the default mu_prime and the entropy power
+    through transform do not depend on the basis chosen within it.
     """
 
     j: np.ndarray
-    j_inv: np.ndarray
     ell: int
     a_prime: float
     mu_prime: float
 
     @property
     def transform(self) -> np.ndarray:
-        """Pi_ell^T J^{-1}: maps states to retained-mode coordinates."""
-        return self.j_inv[: self.ell, :]
-
-
-def default_ell(a_mat) -> int:
-    """Number of unstable (|eig| >= 1) modes."""
-    return int(np.sum(np.abs(np.linalg.eigvals(np.asarray(a_mat, dtype=float))) >= 1.0))
+        """Pi_ell^T J^T: maps states to retained-mode coordinates."""
+        return self.j[:, : self.ell].T
 
 
 def make_projection(
@@ -226,34 +226,31 @@ def make_projection(
 ) -> ProjectionSpec:
     """Build a ProjectionSpec for the ell largest-|eig| modes of plant.A.
 
-    The orthogonal basis J leads with the invariant subspace of A^T for the
-    ell largest-|eig| modes (``_ordered_basis``); ell must not split a
-    complex pair.  lam is a diagonal (vector) lower bound on J^T M J;
+    ell defaults to the number of unstable (|eig| >= 1) modes.  The
+    orthogonal basis J leads with the invariant subspace of A^T for the
+    ell largest-|eig| modes (``_ordered_basis``), so A = J A' J^T; a cut
+    between two |eig| less than 1e-12 apart, a complex pair's among them,
+    is refused.  lam is a diagonal (vector) lower bound on J^T M J;
     mu_prime is the geometric mean of its leading ell entries.  lam
     defaults to the uniform floor min-eig(J^T M J).
     """
     a = plant.A
     n = plant.n
+    eigs = _modes(a)
+    mags = np.abs(eigs)
     if ell is None:
-        ell = default_ell(a)
+        ell = int(np.sum(mags >= 1.0))
     if not 0 <= ell <= n:
         raise ValueError(f"ell must be in [0, {n}], got {ell}")
     if ell == 0:
-        return ProjectionSpec(j=np.eye(n), j_inv=np.eye(n), ell=0,
-                              a_prime=0.0, mu_prime=0.0)
-
-    # At ell = n the cut -1 keeps every eigenvalue, and J = I.
-    cut_sq = -1.0
-    if ell < n:
-        mags = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
-        if mags[ell - 1] - mags[ell] < 1e-12:
-            raise ValueError(
-                f"cannot separate modes: |eig| {mags[ell - 1]:.6g} vs "
-                f"{mags[ell]:.6g} at ell={ell}"
-            )
-        cut_sq = 0.5 * (mags[ell - 1] ** 2 + mags[ell] ** 2)
-    j_mat, a_prime_mat = _ordered_basis(a, cut_sq, ell)
-    j_inv = j_mat.T  # orthogonal
+        return ProjectionSpec(j=np.eye(n), ell=0, a_prime=0.0, mu_prime=0.0)
+    if ell < n and mags[ell - 1] - mags[ell] < 1e-12:
+        raise ValueError(
+            f"cannot separate modes: |eig| {mags[ell - 1]:.6g} vs "
+            f"{mags[ell]:.6g} at ell={ell} (ell may split a complex pair)"
+        )
+    j_mat = _ordered_basis(a, eigs[ell:])
+    a_prime_mat = j_mat.T @ a @ j_mat
 
     if not np.allclose(a_prime_mat[:ell, ell:], 0.0, atol=1e-9):
         raise ValueError("basis does not isolate the retained modes "
@@ -280,37 +277,26 @@ def make_projection(
     lead = lam_vec[:ell]
     mu_prime = float(np.exp(np.mean(np.log(lead)))) if np.all(lead > 0) else 0.0
 
-    return ProjectionSpec(j=j_mat, j_inv=j_inv, ell=ell, a_prime=a_prime,
-                          mu_prime=mu_prime)
+    return ProjectionSpec(j=j_mat, ell=ell, a_prime=a_prime, mu_prime=mu_prime)
 
 
-def _ordered_basis(a: np.ndarray, cut_sq: float, want: int):
-    """Orthogonal basis of A^T's invariant subspace for the want eigenvalues
-    of |eig|^2 >= cut_sq, leading, completed to all of R^n.
+def _ordered_basis(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """Orthogonal J whose leading columns span A^T's invariant subspace for
+    every eigenvalue of A but the dropped ones (closed under conjugation).
 
-    The product of (A^T - mu I)/max|A| over the dropped eigenvalues mu of
-    A^T vanishes on their invariant subspace (Cayley-Hamilton) and maps
-    onto the retained one, so the leading left singular vectors of its real
-    part span it.  Returns (J, A') with A = J A' J^T, J orthogonal, A'
-    block lower-triangular (A'[:want, want:] = 0).  A diagonal A gets an
+    The product of (A^T - mu I)/max|A| over the dropped mu vanishes on
+    their invariant subspace (Cayley-Hamilton) and maps onto the retained
+    one, so the leading left singular vectors of its real part span it, and
+    the rest complete R^n.  Then A = J A' J^T with A' block lower-triangular
+    (A'[:ell, ell:] = 0, ell = n - len(dropped)).  A diagonal A gets an
     axis-aligned J.
     """
-    a_t = a.T
-    eigs = np.linalg.eigvals(a_t)
-    dropped = eigs[eigs.real ** 2 + eigs.imag ** 2 < cut_sq]
-    kept = eigs.size - dropped.size
-    if kept != want:
-        raise ValueError(
-            f"mode split selected {kept} eigenvalues, expected {want} "
-            "(ell may split a complex pair)"
-        )
     eye = np.eye(len(a))
     scale = float(np.abs(a).max())
     prod = eye
     for mu in dropped:
-        prod = prod @ (a_t - mu * eye) / scale
-    j_mat = np.linalg.svd(prod.real)[0]
-    return j_mat, j_mat.T @ a @ j_mat
+        prod = prod @ (a.T - mu * eye) / scale
+    return np.linalg.svd(prod.real)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +390,10 @@ def _projected(plant: LinearPlant, control: ControlRiccati, src: _Source,
         return src.jump.projected_entropy_power(spec().transform)
 
     def at(b: float) -> float:
+        slack = _require_feasible(b, src.bmin)
         p = spec()
         if p.ell == 0:
             return 0.0
-        slack = _require_feasible(b, src.bmin)
         if p.a_prime == 0.0:
             return -math.inf
         return p.ell * math.log(p.a_prime) + 0.5 * p.ell * math.log1p(

@@ -11,9 +11,9 @@ from ratecost import bounds
 from ratecost.bounds import (
     InfimumBound,
     alpha_n,
+    bound_curve,
     causal_slb,
     causal_slb_lowrank,
-    default_ell,
     entropy_cost_upper,
     lower_bound_full,
     lower_bound_lowrank,
@@ -219,19 +219,42 @@ class TestPartialLowerBound:
 
 class TestProjection:
     def test_default_ell_counts_unstable(self):
-        assert default_ell(np.diag([2.0, 1.0, 0.3])) == 2
+        plant = gaussian_plant(np.diag([2.0, 1.0, 0.3]), np.eye(3), np.eye(3),
+                               np.eye(3), np.eye(3))
+        assert make_projection(plant, solve_control(plant)).ell == 2
 
     def test_stable_plant_gives_zero_bound(self):
         plant = gaussian_plant([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         ctrl = solve_control(plant)
         assert lower_bound_projected(plant, ctrl, b_min(plant, ctrl) + 1.0) == 0.0
 
+    @pytest.mark.parametrize("kind", ["projected", "partial_projected"])
+    def test_stable_plant_refuses_unattainable_cost(self, kind):
+        # ell = 0 prices no mode, but b <= b_min is still no cost to price.
+        plant = gaussian_plant([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
+                               c=[[1.0]], cov_w=[[1.0]])
+        ctrl, filt = solve_control(plant), solve_filter(plant)
+        if kind == "projected":
+            bmin, one_b = b_min(plant, ctrl), lower_bound_projected
+            args = (plant, ctrl)
+        else:
+            bmin, one_b = b_min(plant, ctrl, filt), lower_bound_partial_projected
+            args = (plant, ctrl, filt)
+        curve = bound_curve(kind, plant, ctrl, filt)
+        for b in (0.5 * bmin, bmin):
+            with pytest.raises(ValueError, match="not attainable"):
+                curve(b)
+            with pytest.raises(ValueError, match="not attainable"):
+                one_b(*args, b)
+        assert curve(2.0 * bmin) == (0.0, True)
+        assert one_b(*args, 2.0 * bmin) == 0.0
+
     def test_ordering_invariant(self):
         plant = gaussian_plant(np.diag([0.5, 3.0, 2.0]), np.eye(3), np.eye(3),
                                np.eye(3), np.eye(3))
         ctrl = solve_control(plant)
         proj = make_projection(plant, ctrl, ell=2)
-        block = proj.j_inv @ plant.A @ proj.j
+        block = proj.j.T @ plant.A @ proj.j
         kept = np.abs(np.linalg.eigvals(block[:2, :2]))
         assert set(np.round(kept, 9)) == {2.0, 3.0}
         assert np.allclose(block[:2, 2:], 0.0, atol=1e-9)
@@ -302,13 +325,16 @@ class TestProjection:
         assert math.isclose(got, math.log(2.0), abs_tol=1e-6)
 
 
-def _schur_basis(a, cut_sq, want):
+def _schur_basis(a, dropped):
     """The ordered real Schur basis of A^T, scipy's, as the oracle for
-    bounds._ordered_basis."""
-    t_mat, z_mat, sdim = schur(
+    bounds._ordered_basis: it leads with every eigenvalue above the dropped
+    ones, which the tested ells (``_separated_ells``) leave a relative
+    |eig| gap of 1e-2 below."""
+    cut_sq = (1.005 * np.abs(dropped).max()) ** 2 if len(dropped) else -1.0
+    _, z_mat, sdim = schur(
         a.T, output="real", sort=lambda re, im: re * re + im * im >= cut_sq)
-    assert sdim == want
-    return z_mat, t_mat.T
+    assert sdim == len(a) - len(dropped)
+    return z_mat
 
 
 @st.composite

@@ -1134,15 +1134,9 @@ def test_bound_rows_match_the_one_b_functions(tmp_path_factory, raw):
     _check_bound_against_one_b(tmp_path_factory.mktemp("bound"), raw)
 
 
-# Plants whose projection fails at the first feasible b: modes 1e-13 apart,
-# and a Jordan block at 1 whose eigenvalues split 1e-8 apart in roundoff
-# (those of A^T split into a complex pair, so the mode basis selects 2 of
-# them where 1 was asked for).
-_JORDAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
-_ROTATION = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
+# A plant whose projection fails at the first feasible b: modes 1e-13 apart.
 UNPROJECTABLE = {
     "unseparable": np.diag([1.0, 1.0 - 1e-13, 0.5]),
-    "split_pair": _ROTATION @ _JORDAN @ _ROTATION.T,
 }
 
 
@@ -1164,3 +1158,50 @@ def test_failing_projection_names_the_first_feasible_b(tmp_path, name,
     assert error.startswith(
         f"config error: bound {kind!r} at b={2.0 * bmin:g}: ")
 
+
+# Jordan blocks on the unit circle beside a mode at 0.5.  In a rotated basis
+# roundoff splits the defective eigenvalue (about 1e-8 apart, 1e-5 for the
+# size-3 block), so the default ell counts 0, 1 or 2 of its modes depending
+# on the rotation; every such cut is isolated, and each count is a valid
+# bound.
+JORDAN_BLOCKS = {
+    "at_1": np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]),
+    "at_1_size_3": np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5]]),
+    "at_minus_1": np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                            [0.0, 0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("name", sorted(JORDAN_BLOCKS))
+def test_rotated_unit_circle_jordan_blocks_project(tmp_path, capsys, name,
+                                                   partial):
+    n = len(JORDAN_BLOCKS[name])
+    eye = np.eye(n).tolist()
+    kind = "partial_projected" if partial else "projected"
+    for seed in range(20):
+        rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+        a = rot @ JORDAN_BLOCKS[name] @ rot.T
+        plant = {"a": a.tolist(), "b": eye, "q": eye, "r": eye,
+                 "noise_v": {"family": "gaussian", "covariance": eye}}
+        if partial:
+            plant.update(c=eye, noise_w={"family": "gaussian",
+                                         "covariance": eye})
+        raw = {"plant": plant, "bounds": ["floor", kind], "b_grid": [1.0]}
+        cfg = config_from_dict(raw)
+        ctrl, _, bmin = solve_plant(cfg.plant)
+        raw["b_grid"] = [2.0 * bmin, 3.0 * bmin]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = main(["bound", "--config", str(path), "--out", str(tmp_path),
+                     "--format", "json"])
+        assert code == 0, (seed, capsys.readouterr().err)
+        rows = json.loads((tmp_path / "bound.json").read_text())["rows"]
+        assert len(rows) == 4
+        assert all(r["converged"] and math.isfinite(r["nats"]) for r in rows), seed
+
+        proj = bounds.make_projection(cfg.plant, ctrl)
+        j, ell = proj.j, proj.ell
+        assert np.abs(j.T @ j - np.eye(n)).max() <= 1e-12, seed
+        assert np.abs((j.T @ a @ j)[:ell, ell:]).max(initial=0.0) <= 1e-9, seed
