@@ -187,8 +187,10 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     w = math.exp(log_w) if math.isfinite(log_w) else 0.0
 
     def at(d: float) -> InfimumBound:
-        nats = 0.5 * m * math.log(a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d)
-        return InfimumBound(nats=nats, converged=converged)
+        arg = a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d
+        if arg == 0.0:  # a = 0 and no priced noise: the bound is vacuous
+            return InfimumBound(nats=-math.inf, converged=True)
+        return InfimumBound(nats=0.5 * m * math.log(arg), converged=converged)
 
     return at
 
@@ -302,36 +304,13 @@ def _ordered_basis(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the coded process and the noise that drives it
 
-class _Gaussian:
-    """Gaussian noise of a Riccati covariance, taken as computed (NoiseModel
-    checks symmetry to an absolute 1e-12); a singular covariance has entropy
-    power 0 instead of raising."""
-
-    family = "gaussian"
-
-    def __init__(self, covariance: np.ndarray) -> None:
-        self.covariance = covariance
-        self.entropy_power = self.projected_entropy_power(np.eye(len(covariance)))
-
-    def projected_entropy_power(self, t: np.ndarray) -> float:
-        log_det = _logdet(t @ self.covariance @ t.T)
-        return math.exp(log_det / len(t)) if math.isfinite(log_det) else 0.0
-
-    @property
-    def regularity(self) -> tuple[float, float]:
-        lam_min = float(np.linalg.eigvalsh(self.covariance).min())
-        if lam_min <= 0:
-            raise ValueError("innovation jump covariance must be nonsingular")
-        return (0.0, 3.0 / lam_min)
-
-
 @dataclass(frozen=True)
 class _Source:
     """Noise z, gain K and jump K z of the coded process, and its b_min."""
 
-    z: NoiseModel | _Gaussian
+    z: NoiseModel
     gain: np.ndarray
-    jump: NoiseModel | _Gaussian
+    jump: NoiseModel
     bmin: float
 
 
@@ -341,8 +320,8 @@ def _source(plant: LinearPlant, control: ControlRiccati,
     if filt is None:
         return _Source(plant.noise_v, np.eye(plant.n), plant.noise_v,
                        b_min(plant, control))
-    return _Source(_Gaussian(filt.innovation_cov), filt.K,
-                   _Gaussian(filt.N), b_min(plant, control, filt))
+    return _Source(NoiseModel("gaussian", filt.innovation_cov), filt.K,
+                   NoiseModel("gaussian", filt.N), b_min(plant, control, filt))
 
 
 # ---------------------------------------------------------------------------

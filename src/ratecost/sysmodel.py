@@ -50,7 +50,8 @@ class NoiseModel:
       laplace   independent coordinates, diagonal covariance
       uniform   independent coordinates, diagonal covariance
 
-    Differential entropy and entropy power are exact per family.  The
+    Differential entropy and entropy power are exact per family; a
+    gaussian with a singular covariance has entropy power 0.  The
     regularity constants (c0, c1) bound the density's log-gradient,
     ``||grad f(x)|| <= (c1 ||x|| + c0) f(x)``; they exist for the gaussian and
     laplace families and are unknown for uniform (the density is not
@@ -110,7 +111,10 @@ class NoiseModel:
 
     @property
     def entropy_power(self) -> float:
-        """N(X) = exp(2 h(X) / n) / (2 pi e)."""
+        """N(X) = exp(2 h(X) / n) / (2 pi e), det(covariance)^(1/n) for
+        gaussian noise."""
+        if self.family == "gaussian":
+            return self.projected_entropy_power(np.eye(self.dim))
         return math.exp(2.0 * self.differential_entropy / self.dim) / TWO_PI_E
 
     @property
@@ -129,7 +133,8 @@ class NoiseModel:
     def projected_entropy_power(self, transform) -> float:
         """Entropy power of T X for a full-row-rank matrix T.
 
-        Exact for gaussian noise with any T.  For the independent-coordinate
+        Exact for gaussian noise with any T, 0 when T Sigma T^T is
+        singular.  For the independent-coordinate
         families T must select distinct (possibly scaled) coordinate axes,
         otherwise the projected entropy has no closed form here.
         """
@@ -139,9 +144,7 @@ class NoiseModel:
             raise ValueError(f"transform shape {t.shape} incompatible with dim {self.dim}")
         if self.family == "gaussian":
             sign, logdet = np.linalg.slogdet(t @ self.covariance @ t.T)
-            if sign <= 0:
-                raise ValueError("projected covariance is singular")
-            return math.exp(logdet / ell)
+            return math.exp(logdet / ell) if sign > 0 else 0.0
         h_coord = self._coordinate_entropies()
         h = 0.0
         used: set[int] = set()

@@ -187,7 +187,10 @@ class TestFullLowerBound:
         plant = gaussian_plant(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2),
                                np.eye(2))
         ctrl = solve_control(plant)
-        assert lower_bound_full(plant, ctrl, b_min(plant, ctrl) + 1.0) == -math.inf
+        b = b_min(plant, ctrl) + 1.0
+        assert lower_bound_full(plant, ctrl, b) == -math.inf
+        # the low-rank infimum is 0 and so is its weight: no math domain error
+        assert bound_curve("lowrank", plant, ctrl)(b) == (-math.inf, True)
 
     def test_noise_term_drops_when_m_singular(self):
         # Free control with a zero-cost direction makes det M = 0; the bound

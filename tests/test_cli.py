@@ -284,6 +284,50 @@ class TestBoundCommand:
         assert row["converged"] is False
         assert row["note"] == ""
 
+    @staticmethod
+    def two_state_config(tmp_path, a, b, cov_v, bounds):
+        raw = base_config(bounds=bounds, b_grid=[50.0])
+        raw["plant"].update({
+            "a": a, "b": b, "q": [[1.0, 0.0], [0.0, 1.0]],
+            "r": np.eye(len(b[0])).tolist(),
+            "noise_v": {"family": "gaussian", "covariance": cov_v}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def test_vacuous_lowrank_row(self, tmp_path, capsys):
+        # singular A: the infimum and the weight of the low-rank bound are
+        # both 0, so its row is -inf like the full row, not a math error
+        path = self.two_state_config(tmp_path, [[2.0, 0.0], [0.0, 0.0]],
+                                     [[1.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]],
+                                     ["full", "lowrank"])
+        assert main(["bound", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "bound.csv")
+        assert [(r["bound"], r["nats"], r["converged"]) for r in rows] == [
+            ("full", "-inf", "true"), ("lowrank", "-inf", "true")]
+
+    def test_singular_gaussian_noise_is_priced_at_zero(self, tmp_path, capsys):
+        # V = diag(0, 1) leaves the unstable mode unexcited: entropy power 0,
+        # as the innovation of one sensor on two states already gets
+        a = [[3.0, 0.0], [0.0, 0.5]]
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        path = self.two_state_config(tmp_path, a, eye, [[0.0, 0.0], [0.0, 1.0]],
+                                     ["full", "projected", "lowrank"])
+        assert main(["bound", "--config", path, "--out", str(tmp_path),
+                     "--format", "json"]) == 0
+        rows = json.loads((tmp_path / "bound.json").read_text())["rows"]
+        nats = {r["kind"]: r["nats"] for r in rows}
+        assert math.isclose(nats["full"], math.log(1.5), rel_tol=1e-12)
+        assert math.isclose(nats["projected"], math.log(3.0), rel_tol=1e-12)
+        assert nats["lowrank"] is None  # -inf
+        assert all(r["converged"] for r in rows)
+        path = self.two_state_config(tmp_path, a, eye, [[0.0, 0.0], [0.0, 1.0]],
+                                     ["upper"])
+        assert main(["bound", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: bound 'upper' at b=50: gaussian regularity needs "
+            "a nonsingular covariance\n")
+
     def test_needs_b_grid(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["bound", "--config", path]) == 2
@@ -1001,8 +1045,8 @@ def cli_configs(draw):
 OWN_REFUSALS = (
     "weight W = A^T M A is singular", "lattice index does not fit in int64",
     "noise has no known regularity constants",
-    "projected entropy power of", "projected covariance is singular",
-    "innovation jump covariance must be nonsingular",
+    "projected entropy power of",
+    "gaussian regularity needs a nonsingular covariance",
     "need rows(L)=", "dynamics matrix powers overflowed", "retained modes",
 )
 

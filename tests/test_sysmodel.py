@@ -99,6 +99,15 @@ class TestNoiseModel:
         expected = (t @ cov @ t.T).item()
         assert math.isclose(model.projected_entropy_power(t), expected, rel_tol=1e-12)
 
+    def test_singular_gaussian_has_entropy_power_zero(self):
+        model = NoiseModel("gaussian", np.diag([1.0, 0.0]))
+        assert model.entropy_power == 0.0
+        assert model.projected_entropy_power(np.array([[0.0, 1.0]])) == 0.0
+        assert model.projected_entropy_power(np.array([[1.0, 1.0],
+                                                       [2.0, 2.0]])) == 0.0
+        with pytest.raises(ValueError, match="nonsingular"):
+            model.regularity
+
     def test_projected_entropy_power_axis_selection(self):
         model = NoiseModel("laplace", np.diag([1.0, 9.0]))
         got = model.projected_entropy_power(np.array([[0.0, 2.0]]))
