@@ -33,14 +33,12 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .riccati import ControlRiccati, FilterRiccati, b_min
-from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel, numerical_rank
+from .sysmodel import TWO_PI_E, LinearPlant, NoiseModel, symmetric_eigvalsh
 
 LOG2_E = 1.0 / math.log(2.0)
 
 DEFAULT_I_MAX = 64
 INFIMUM_TOL = 1e-9
-# The upper bounds minimize over design distortions on a log grid this long.
-DESIGN_GRID_POINTS = 64
 
 
 def nats_to_bits(x: float) -> float:
@@ -54,14 +52,11 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
 
 def whitening(weight: np.ndarray):
-    """(W^{1/2}, W^{-1/2}); the lattice coder needs a nonsingular W."""
-    n, rank = weight.shape[0], numerical_rank(weight)
-    if rank < n:
-        raise ValueError(
-            f"weight W = A^T M A is singular (rank {rank} < n = {n}): "
-            "the lattice coder needs a nonsingular W")
+    """(W^{1/2}, W^{-1/2}, least eigenvalue of W) for a positive definite W:
+    cond(W^{1/2}), which the lattice coder inverts, is then at most 1e6."""
+    w_min = symmetric_eigvalsh(weight, "weight W = A^T M A", definite=True)[0]
     w_sqrt = psd_sqrt(weight)
-    return w_sqrt, np.linalg.inv(w_sqrt)
+    return w_sqrt, np.linalg.inv(w_sqrt), float(w_min)
 
 
 def _logdet(mat: np.ndarray) -> float:
@@ -274,7 +269,7 @@ def make_projection(
         if lam_vec.shape != (n,):
             raise ValueError(f"lam must be a length-{n} diagonal vector")
         gap = np.linalg.eigvalsh(m_prime - np.diag(lam_vec)).min()
-        if gap < -1e-9 * max(1.0, float(np.abs(m_prime).max())):
+        if gap < -1e-9 * float(np.abs(m_prime).max()):
             raise ValueError("lam is not admissible: J^T M J - diag(lam) not PSD")
     lead = lam_vec[:ell]
     mu_prime = float(np.exp(np.mean(np.log(lead)))) if np.all(lead > 0) else 0.0
@@ -487,8 +482,7 @@ def _upper(plant: LinearPlant, control: ControlRiccati, src: _Source):
                 f"{src.jump.family} noise has no known regularity constants"
             )
         w_mat = control.W
-        _, w_half_inv = whitening(w_mat)
-        w_min = float(np.linalg.eigvalsh(w_mat).min())
+        _, w_half_inv, w_min = whitening(w_mat)
         v_total = float(np.trace(src.jump.covariance @ w_mat))
         # a* = max_z z' A'WA z / z'Wz, the one-step growth of weighted error.
         a_star = float(np.linalg.eigvalsh(
@@ -499,20 +493,46 @@ def _upper(plant: LinearPlant, control: ControlRiccati, src: _Source):
         if not observed:
             raise ValueError("filt is required for a partially observed plant")
         first_terms = converse(b)
-        (c0, c1), w_min, v_total, a_star = fixed()
-        slack = b - src.bmin
-        sq_a = math.sqrt(a_star)
-        dt = np.geomspace(1e-6 * slack, slack, DESIGN_GRID_POINTS)
-        beta = (np.sqrt(dt) / w_min) * (
-            0.5 * c1 * sq_a * math.sqrt(v_total)
-            + c0 * (2.0 + sq_a)
-            + c1 * (2.0 + sq_a / 2.0) * np.sqrt(a_star * dt + v_total)
-            + 2.0 * c1 * (1.0 + sq_a) * np.sqrt(dt)
-        )
-        correction = float((0.5 * n * np.log(slack / dt) + beta).min())
+        correction = _design_correction(n, b - src.bmin, *fixed())
         return first_terms + alpha_n(n) + n * math.log(rho) + correction
 
     return at
+
+
+def _design_correction(n: int, slack: float, reg, w_min: float,
+                       v_total: float, a_star: float) -> float:
+    """The smoothness correction of the upper bound: the minimum over design
+    distortions 0 < dt <= slack of f(dt) = (n/2) log(slack/dt) + beta(dt).
+
+    In s = log dt, f is convex: the log term is linear in s and each term of
+    beta (sqrt(dt), dt and sqrt(a* dt^2 + v dt)) is log-convex.  So the
+    minimum is at dt = slack when f's slope in s is <= 0 there, and else at
+    the slope's root, bisected in s to 1e-12.
+    """
+    c0, c1 = reg
+    sq_a = math.sqrt(a_star)
+    k0 = 0.5 * c1 * sq_a * math.sqrt(v_total) + c0 * (2.0 + sq_a)
+    k1, k2 = c1 * (2.0 + sq_a / 2.0), 2.0 * c1 * (1.0 + sq_a)
+
+    def slope(s: float) -> float:  # df/ds, increasing in s
+        dt = math.exp(s)
+        grow = math.sqrt(dt / (a_star * dt + v_total)) * (a_star * dt + 0.5 * v_total)
+        return (0.5 * k0 * math.sqrt(dt) + k1 * grow + k2 * dt) / w_min - 0.5 * n
+
+    dt = slack
+    hi = math.log(slack)
+    if slope(hi) > 0.0:
+        step = 1.0
+        while slope(hi - step) > 0.0:
+            step *= 2.0
+        lo = hi - step
+        while hi - lo > 1e-12 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if slope(mid) > 0.0 else (mid, hi)
+        dt = min(math.exp(hi), slack)
+    beta = (math.sqrt(dt) / w_min) * (
+        k0 + k1 * math.sqrt(a_star * dt + v_total) + k2 * math.sqrt(dt))
+    return 0.5 * n * math.log(slack / dt) + beta
 
 
 def entropy_cost_upper(plant: LinearPlant, control: ControlRiccati, b: float,

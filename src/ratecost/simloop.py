@@ -293,7 +293,7 @@ class _Point:
         self.cfg, self.ctrl = cfg, ctrl
         self.lattice = None
         if cfg.distortion is not None:
-            w_sqrt, self.w_isqrt = whitening(ctrl.W)
+            w_sqrt, self.w_isqrt, _ = whitening(ctrl.W)
             self.m_mat = w_sqrt @ plant.A @ self.w_isqrt
             self.lattice = lattice_for_dimension(plant.n).scale_to_distortion(
                 cfg.distortion)

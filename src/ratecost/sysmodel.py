@@ -17,8 +17,11 @@ TWO_PI_E = 2.0 * math.pi * math.e
 
 FAMILIES = ("gaussian", "laplace", "uniform")
 
-# Singular values below RANK_RTOL * sigma_max count as zero in rank tests.
+# Singular values below RANK_RTOL * sigma_max count as zero in validate's
+# ranks; those matrices are not symmetric, so they take the SVD.
 RANK_RTOL = 1e-9
+# The one relative tolerance for symmetry, semidefiniteness and definiteness.
+SYM_RTOL = 1e-12
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -28,18 +31,20 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return a
 
 
-def _require_psd(mat: np.ndarray, name: str) -> None:
-    """Refuse a matrix whose symmetric part has its least eigenvalue below
-    -1e-12 times its largest eigenvalue magnitude: a test free of the
-    matrix's scale, which the zero matrix passes."""
-    eigs = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-    if eigs[0] < -1e-12 * max(-eigs[0], eigs[-1]):
+def symmetric_eigvalsh(mat: np.ndarray, name: str, definite: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of mat.  Refuses max|M - M^T| above SYM_RTOL max|M|
+    (an asymmetric input is not read as its symmetric part), a least eigenvalue
+    below -SYM_RTOL times the largest |eigenvalue|, and, when definite, one not
+    above SYM_RTOL times it: every test is free of the matrix's scale."""
+    if np.abs(mat - mat.T).max() > SYM_RTOL * np.abs(mat).max():
+        raise ValueError(f"{name} must be symmetric")
+    eigs = np.linalg.eigvalsh(mat)
+    top = max(-eigs[0], eigs[-1])
+    if eigs[0] < -SYM_RTOL * top:
         raise ValueError(f"{name} must be positive semidefinite")
-
-
-def _is_diagonal(a: np.ndarray, tol: float = 0.0) -> bool:
-    off = a - np.diag(np.diag(a))
-    return bool(np.all(np.abs(off) <= tol))
+    if definite and not eigs[0] > SYM_RTOL * top:
+        raise ValueError(f"{name} is singular: eigenvalues {eigs[0]:.3g} to {top:.3g}")
+    return eigs
 
 
 class NoiseModel:
@@ -64,10 +69,8 @@ class NoiseModel:
         cov = _as_matrix(covariance, "covariance")
         if cov.shape[0] != cov.shape[1]:
             raise ValueError(f"covariance must be square, got shape {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        _require_psd(cov, "covariance")
-        if family != "gaussian" and not _is_diagonal(cov):
+        symmetric_eigvalsh(cov, "covariance")
+        if family != "gaussian" and np.count_nonzero(cov - np.diag(np.diag(cov))):
             raise ValueError(f"{family} noise requires a diagonal covariance")
         self.family = family
         self.covariance = cov
@@ -210,12 +213,12 @@ class LinearPlant:
         self.Q = _as_matrix(q, "Q")
         if self.Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {self.Q.shape}")
-        _require_psd(self.Q, "Q")
+        symmetric_eigvalsh(self.Q, "Q")
         m = self.B.shape[1]
         self.R = _as_matrix(r, "R")
         if self.R.shape != (m, m):
             raise ValueError(f"R must be {m}x{m}, got {self.R.shape}")
-        _require_psd(self.R, "R")
+        symmetric_eigvalsh(self.R, "R")
         self.C = np.eye(n) if c is None else _as_matrix(c, "C")
         if self.C.shape[1] != n:
             raise ValueError(f"C has {self.C.shape[1]} columns, expected {n}")

@@ -279,6 +279,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="admissible"):
             make_projection(plant, ctrl, ell=1, lam=np.array([100.0]))
 
+    def test_lam_admissibility_is_relative_to_m_prime(self):
+        # at Q = R = 1e-20, M = 3.4e-20: lam = 1e-10 exceeds M by nine
+        # orders of magnitude and would price the noise 11.5 nats, against
+        # the true converse of about 1 nat
+        plant = gaussian_plant([[2.0]], [[1.0]], [[1e-20]], [[1e-20]], [[1.0]])
+        ctrl = solve_control(plant)
+        with pytest.raises(ValueError, match="admissible"):
+            make_projection(plant, ctrl, ell=1, lam=np.array([1e-10]))
+        make_projection(plant, ctrl, ell=1, lam=np.array([ctrl.M[0, 0]]))
+
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
     def test_full_ell_reduction_scalar(self, family):
         plant = gaussian_plant([[2.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
@@ -528,6 +538,45 @@ def test_ill_conditioned_first_lowrank_term_is_kept(tmp_path, capsys):
                             rel_tol=1e-9, abs_tol=1e-12)
         res = lower_bound_partial_lowrank(plant, ctrl, filt, b)
         assert res.converged
+    # the exact design-distortion minimum sits near 1e-21 slack, far below
+    # the old 64-point grid's floor, where upper read 4e7 nats and more
+    for b in (b_grid[0], b_grid[-1]):
+        assert math.isfinite(nats[b, "upper"]) and nats[b, "upper"] < 100.0
+
+
+def _grid_correction(n, slack, reg, w_min, v_total, a_star, dt):
+    """The smoothness correction at each design distortion of the grid dt."""
+    (c0, c1), sq_a = reg, math.sqrt(a_star)
+    beta = (np.sqrt(dt) / w_min) * (
+        0.5 * c1 * sq_a * math.sqrt(v_total) + c0 * (2.0 + sq_a)
+        + c1 * (2.0 + sq_a / 2.0) * np.sqrt(a_star * dt + v_total)
+        + 2.0 * c1 * (1.0 + sq_a) * np.sqrt(dt))
+    return 0.5 * n * np.log(slack / dt) + beta
+
+
+@given(n=st.integers(1, 6), log_slack=st.floats(-8, 8),
+       log_c0=st.floats(-3, 6), log_c1=st.floats(-3, 6),
+       laplace=st.booleans(), log_w=st.floats(-9, 3),
+       log_v=st.floats(-2, 4), log_a=st.floats(-2, 9))
+def test_design_correction_is_the_exact_minimum(n, log_slack, log_c0, log_c1,
+                                                 laplace, log_w, log_v, log_a):
+    # gaussian noise has c0 = 0, laplace noise c1 = 0
+    reg = (10.0 ** log_c0, 0.0) if laplace else (0.0, 10.0 ** log_c1)
+    args = (n, 10.0 ** log_slack, reg, 10.0 ** log_w, 10.0 ** log_v,
+            10.0 ** log_a)
+    slack = args[1]
+    exact = bounds._design_correction(*args)
+    coarse = _grid_correction(*args, np.geomspace(1e-6 * slack, slack,
+                                                  64)).min()
+    # dense: 10^4 points over (1e-300 slack, slack], then 10^4 more around
+    # the best of them
+    dt = np.geomspace(1e-300 * slack, slack, 10_001)
+    i = int(np.argmin(_grid_correction(*args, dt)))
+    dense = _grid_correction(*args, np.geomspace(
+        dt[max(i - 1, 0)], dt[min(i + 1, dt.size - 1)], 10_001)).min()
+    assert exact <= coarse + 1e-12 * abs(coarse)
+    assert exact <= dense + 1e-12 * abs(dense)
+    assert dense - exact <= 1e-9 * max(1.0, abs(exact))
 
 
 class TestProjectedPartial:
@@ -621,20 +670,21 @@ def matrix_plant(seed, n, m, k=None):
 # Values of partial, partial_projected, partial_lowrank and the partially
 # observed upper bound (None: undefined, W or N singular) at b = b_min (1 +
 # rel), frozen from the implementation before the full and partial kinds
-# shared one body.
+# shared one body.  The upper column was frozen again when the design
+# distortion's 64-point grid gave way to its exact minimum; every value fell.
 FROZEN_PARTIAL = [
     ((0, 2, 2, 2), 0.1, (-0.1742969142820882, 0.27489305645223466,
-                         -0.1742969142824279, 70.06487945533979)),
+                         -0.1742969142824279, 23.466826220370173)),
     ((0, 2, 2, 2), 2.0, (-0.3768176324627546, 0.272104392668672,
-                         -0.3768176324631693, 262.1773987060448)),
+                         -0.3768176324631693, 26.260037775743495)),
     ((1, 2, 1, 1), 0.1, (-0.44274231707970146, 0.2565576371132282,
                          1.1932967103309808, None)),
     ((1, 2, 1, 1), 2.0, (-0.44274231707970146, 0.2565576371132282,
                          0.262310392206643, None)),
     ((2, 3, 3, 3), 0.1, (0.7482037415548546, 0.7028229927479539,
-                         0.7482037415548097, 27.86430446215621)),
+                         0.7482037415548097, 27.460248249363215)),
     ((2, 3, 3, 3), 2.0, (-0.456355365814501, 0.30079001309322406,
-                         -0.45635536581460256, 43.493313869050496)),
+                         -0.45635536581460256, 30.749287552324812)),
     ((3, 3, 1, 2), 0.1, (-0.5516093690253896, 0.2504060342134742,
                          0.371660786865067, None)),
     ((3, 3, 1, 2), 2.0, (-0.5516093690253896, 0.2504060342134742,
@@ -646,9 +696,9 @@ FROZEN_PARTIAL = [
     ((4, 4, 2, 2), 2.0, (-0.6411881830931551, 0.32595076484793095,
                          -0.08614650319304523, None)),
     ((5, 4, 4, 4), 0.1, (0.3427447884749605, 0.31151822909286775,
-                         0.34274478847490325, 1822.4968630012456)),
+                         0.34274478847490325, 58.266579211006665)),
     ((5, 4, 4, 4), 2.0, (-0.6270831722887783, 0.29257488452051067,
-                         -0.6270831722888733, 8068.0191990647345)),
+                         -0.6270831722888733, 63.288215797350894)),
 ]
 
 

@@ -663,6 +663,70 @@ SINGULAR_W_PLANTS = {
 }
 
 
+# bounds_grid seed 300's p106_n4m4F (Q = R = 100 I, V = I): W = A^T M A has
+# eigenvalues 1.7e-8 to 312, a ratio of 5.5e-11, which a rank rule at 1e-9
+# called singular.
+W_RATIO_5E_11 = {
+    "a": [[-0.4399864821543086, -0.7424852252078944, 0.010454607390933323,
+           0.2123188295894878],
+          [-0.7424852252078944, -0.3500467132844917, -0.004399671434692207,
+           -0.6512642507925371],
+          [0.010454607390933344, -0.004399671434692226, -1.0064923543348734,
+           0.2460999666439785],
+          [0.2123188295894878, -0.6512642507925371, 0.2460999666439785,
+           -0.2596401116142451]],
+    "b": [[0.9578704998252352, 1.9888062057907292, -0.859600772179444,
+           -1.168421961812314],
+          [1.7313813036739507, -0.10316759303841573, 0.3386975880511916,
+           0.715136690923839],
+          [0.23576155891004721, 0.20286052594916137, 1.602930977475242,
+           1.2172000939086265],
+          [-1.1298366604374028, 0.07089544695498937, -0.31154458782819094,
+           -0.5377962639610318]],
+    "q": (100.0 * np.eye(4)).tolist(), "r": (100.0 * np.eye(4)).tolist(),
+    "noise_v": {"family": "gaussian", "covariance": np.eye(4).tolist()},
+}
+
+
+def test_ill_conditioned_but_definite_weight_is_coded(tmp_path, capsys):
+    raw = {"plant": W_RATIO_5E_11, "b_grid": [693.716, 7555.33],
+           "bounds": ["full", "upper", "projected", "lowrank", "floor"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bound", "--config", str(path), "--out",
+                 str(tmp_path / "b"), "--format", "json"]) == 0
+    rows = json.loads((tmp_path / "b" / "bound.json").read_text())["rows"]
+    upper = [r["nats"] for r in rows if r["kind"] == "upper"]
+    assert len(upper) == 2 and all(math.isfinite(u) for u in upper)
+    raw.update(d_grid=np.geomspace(1.0, 100.0, 8).tolist(), horizon=3000,
+               burn_in=200, seed=1, bounds=["full", "upper"])
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path)]) == 0  # the audit holds
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    # Cholesky reads the lower triangle and slogdet the whole matrix, so
+    # the samples and the bounds would price different covariances
+    ("noise_v", {"family": "gaussian",
+                 "covariance": [[1e-12, 0.0], [5e-13, 1e-12]]},
+     "plant.noise_v: covariance must be symmetric"),
+    ("q", [[1.0, 1.0], [0.0, 1.0]], "plant: Q must be symmetric"),
+    ("r", [[1.0, 0.0], [1e-9, 1.0]], "plant: R must be symmetric"),
+])
+def test_asymmetric_input_is_refused(tmp_path, capsys, key, value, message):
+    eye = np.eye(2).tolist()
+    raw = base_config(b_grid=[10.0])
+    raw["plant"].update(a=(2.0 * np.eye(2)).tolist(), b=eye, q=eye, r=eye,
+                        noise_v={"family": "gaussian", "covariance": eye})
+    raw["plant"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "bound"):
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("name", sorted(SINGULAR_W_PLANTS))
     def test_singular_weight_plant(self, tmp_path, capsys, name):

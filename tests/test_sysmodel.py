@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratecost.sysmodel import (
     TWO_PI_E,
@@ -9,6 +11,7 @@ from ratecost.sysmodel import (
     NoiseModel,
     controllability_matrix,
     numerical_rank,
+    symmetric_eigvalsh,
     validate,
 )
 
@@ -211,3 +214,60 @@ class TestValidate:
         a = np.eye(3)
         b = np.ones((3, 2))
         assert controllability_matrix(a, b).shape == (3, 6)
+
+
+def _verdict(call):
+    """The message a refusal gives up to any ':' (the eigenvalues a
+    singular matrix reports scale with it), or "" when the call accepts."""
+    try:
+        call()
+    except ValueError as err:
+        return str(err).split(":")[0]
+    return ""
+
+
+class TestSymmetricEigvalsh:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           kind=st.sampled_from(["psd", "asymmetric", "indefinite",
+                                 "singular"]),
+           log_dev=st.floats(-14, 0), k=st.integers(-150, 150))
+    def test_verdict_does_not_depend_on_scale(self, seed, n, kind, log_dev, k):
+        """Symmetric, asymmetric (a relative deviation 10^log_dev in one
+        off-diagonal pair), indefinite (one eigenvalue -10^log_dev times
+        the largest) and singular matrices get the same verdict, and the
+        covariance and weight refusals the same message, at every 2^k."""
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.5, 2.0, n)
+        if kind == "indefinite":
+            vals[0] = -10.0 ** log_dev
+        if kind == "singular":
+            vals[0] = 0.0
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        mat = (v * vals) @ v.T
+        mat = (mat + mat.T) / 2.0
+        if kind == "asymmetric" and n > 1:
+            mat[1, 0] += 10.0 ** log_dev * np.abs(mat).max()
+        scaled = 2.0 ** k * mat
+        for definite in (False, True):
+            got = [_verdict(lambda m=m: symmetric_eigvalsh(m, "M", definite))
+                   for m in (mat, scaled)]
+            assert got[0] == got[1]
+        assert (_verdict(lambda: NoiseModel("gaussian", mat))
+                == _verdict(lambda: NoiseModel("gaussian", scaled)))
+        if kind == "asymmetric" and n > 1 and log_dev > -11.9:
+            assert _verdict(lambda: NoiseModel("gaussian", scaled)) == (
+                "covariance must be symmetric")
+
+    def test_one_tolerance_for_every_rule(self):
+        assert np.array_equal(symmetric_eigvalsh(np.diag([2.0, 1.0]), "M"),
+                              [1.0, 2.0])
+        for mat, message in [
+                ([[1.0, 2e-12], [0.0, 1.0]], "M must be symmetric"),
+                (np.diag([1.0, -2e-12]), "M must be positive semidefinite"),
+                (np.zeros((2, 2)), "M is singular")]:
+            with pytest.raises(ValueError, match=message):
+                symmetric_eigvalsh(np.asarray(mat), "M", definite=True)
+        # within the tolerance: accepted, and definite above it
+        symmetric_eigvalsh(np.array([[1.0, 5e-13], [0.0, 1.0]]), "M")
+        symmetric_eigvalsh(np.diag([1.0, -5e-13]), "M")
+        symmetric_eigvalsh(np.diag([1.0, 2e-12]), "M", definite=True)
