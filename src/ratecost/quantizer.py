@@ -214,15 +214,21 @@ class Lattice:
             return sum(z) % 2, z
         return min(tied, key=key)
 
+    @functools.cached_property
+    def _base_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.base_basis)
+
     def index_of(self, points) -> np.ndarray:
         """Integer coordinates of lattice points in the generator basis; a
         decoded point is within about 1e-16 relative, far inside
-        ``INDEX_ATOL``, and its index must fit in int64."""
+        ``INDEX_ATOL``, and its index must fit in int64.  The coordinates
+        come from the basis inverse, taken once per lattice: they differ
+        from a solve's by rounding only, so a point that passes the
+        lattice-point check rounds to the same integers either way."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts) / self.scale
-        z = np.linalg.solve(self.base_basis, pts.T).T
-        zi = np.rint(z)
+        zi = np.rint(pts @ self._base_inverse.T)
         tol = INDEX_ATOL * np.maximum(1.0, abs(pts).max(1, keepdims=True))
         if not np.all(np.abs(pts - zi @ self.base_basis.T) <= tol):
             raise ValueError("inputs are not lattice points")
@@ -337,8 +343,12 @@ class EntropyEstimate:
 
 def _row_counts(data: np.ndarray) -> np.ndarray:
     """Occurrences of each distinct row, in lexicographic row order (the
-    counts of ``np.unique(data, axis=0)``), from one stable sort."""
-    rows = data[np.lexsort(data.T[::-1])]
+    counts of ``np.unique(data, axis=0)``), from one sort: of the values
+    for one column, else one stable lexicographic sort of the rows."""
+    if data.shape[1] == 1:
+        rows = np.sort(data, axis=0)
+    else:
+        rows = data[np.lexsort(data.T[::-1])]
     starts = np.flatnonzero(np.concatenate(
         ([True], np.any(rows[1:] != rows[:-1], axis=1))))
     return np.diff(starts, append=rows.shape[0])

@@ -146,10 +146,13 @@ def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray):
     """y_{i+1} = F y_i + drive_i from y_0, stepped on Python floats.
 
     Returns (rows y_0 .. y_{k-1}, diverged), where y_k is the first iterate,
-    y_0 included, whose norm reaches lim = ``DIVERGENCE_NORM``; k is the
-    horizon when none does.  Rows of F y sum in ``_mv``'s column order;
-    ``np.linalg.norm`` decides every step whose float sum of squares is not
-    below (lim/2)^2, NaN included.
+    y_0 and the final one included, whose norm reaches lim =
+    ``DIVERGENCE_NORM``; k is the horizon when none does.  The loop steps
+    every drive row untested, since Python floats overflow to inf or NaN
+    silently, and the cut is found after it.  Rows of F y sum in ``_mv``'s
+    column order.  On n = 1 the cut is the first |y| not below lim.  On
+    n >= 2 ``np.linalg.norm`` decides every iterate whose float sum of
+    squares, taken in column order, is not below (lim/2)^2, NaN included.
     """
     n, lim = drive.shape[1], DIVERGENCE_NORM
     out = array("d")
@@ -157,60 +160,54 @@ def _linear_filter(f_mat: np.ndarray, drive: np.ndarray, y0: np.ndarray):
         return np.empty((0, n)), True
     if n == 1:
         f, y = float(f_mat[0, 0]), float(y0[0])
+        append = out.append
         for r in memoryview(np.ascontiguousarray(drive[:, 0])):
-            out.append(y)
+            append(y)
             y = f * y + r
-            if not -lim < y < lim:
-                return np.frombuffer(out)[:, None], True
-        return np.frombuffer(out)[:, None], False
+        append(y)
+        ys = np.frombuffer(out)
+        cut = np.flatnonzero(~(np.abs(ys) < lim))
+        k = int(cut[0]) if len(cut) else len(drive)
+        return ys[:k, None], len(cut) > 0
     rows, y = f_mat.tolist(), [float(v) for v in y0]
-    safe = (lim / 2.0) * (lim / 2.0)
     for di in drive.tolist():
         out.extend(y)
-        nxt, ss = [], 0.0
+        nxt = []
         for row, dr in zip(rows, di):
             acc = y[0] * row[0]
             for j in range(1, n):
                 acc += y[j] * row[j]
-            acc += dr
-            nxt.append(acc)
-            ss += acc * acc
+            nxt.append(acc + dr)
         y = nxt
-        if not ss < safe and not np.linalg.norm(y) < lim:
-            return np.frombuffer(out).reshape(-1, n), True
-    return np.frombuffer(out).reshape(-1, n), False
+    out.extend(y)
+    ys = np.frombuffer(out).reshape(-1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        later = ys[1:]
+        ss = later[:, 0] * later[:, 0]
+        for j in range(1, n):
+            ss = ss + later[:, j] * later[:, j]
+        for i in np.flatnonzero(~(ss < (lim / 2.0) * (lim / 2.0))):
+            if not np.linalg.norm(ys[i + 1]) < lim:
+                return ys[:i + 1], True
+    return ys[:-1], False
 
 
 def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     """The coder error recursion eps_i = q_i - Q(q_i), q_i = M eps_{i-1} + h_i.
 
     Returns the quantizer inputs q and the chosen lattice points, one row
-    per step.  Both loop bodies run on plain floats and give the same bits
-    as ``Lattice.nearest``: rounding on the integers, the lattice's
+    per step.  Both loops run on plain floats and give the same bits as
+    ``Lattice.nearest``: rounding on the integers (``_wrap_integer``, which
+    finds its far and non-finite inputs after its loop), the lattice's
     one-vector decoder on A_n*, with q summed in column order like ``_mv``.
     The rows stop before the first input the lattice cannot decode: one
     whose rounding overflows or is NaN, or one too far out for A_n*.
     """
     n = h.shape[1]
-    qs, ps = array("d"), array("d")
     if lattice.family == "integer_Z":
-        m, t, eps = float(m_mat[0, 0]), lattice.scale, 0.0
-        try:
-            for hi in memoryview(np.ascontiguousarray(h[:, 0])):
-                q = m * eps + hi
-                x = q / t
-                if -ROUND_RANGE < x < ROUND_RANGE:
-                    # round half to even in float arithmetic: exactly
-                    # float(round(x)), with no Python int built
-                    p = ((x + ROUND_SHIFT) - ROUND_SHIFT) * t
-                else:
-                    p = round(x) * t
-                eps = q - p
-                qs.append(q)
-                ps.append(p)
-        except UNDECODABLE:
-            pass
-        return np.frombuffer(qs)[:, None], np.frombuffer(ps)[:, None]
+        return _wrap_integer(float(m_mat[0, 0]), lattice.scale,
+                             np.ascontiguousarray(h[:, 0]))
+    qs, ps = array("d"), array("d")
     rows = m_mat.tolist()
     eps = [0.0] * n
     with np.errstate(all="ignore"):  # the decode refuses what overflows
@@ -229,6 +226,66 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
         except UNDECODABLE:
             pass
     return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
+
+
+def _wrap_integer(m: float, t: float, h: np.ndarray):
+    """``_wrap`` on the integers at cell width t, for the scalar drive h.
+
+    The fast loop stores only q and rounds every step with the float shift,
+    untested.  After it, the first stored step whose cell count |q/t| is
+    not below 2^51, NaN included, is where the shift stops being exact:
+    ``_wrap_checked`` steps the rest of the run from the eps the fast loop
+    had before it.  ``_round_points`` then rebuilds every chosen point in
+    numpy with the loop's own IEEE operations.
+    """
+    qs, eps = array("d"), 0.0
+    append = qs.append
+    for hi in memoryview(h):
+        q = m * eps + hi
+        eps = q - ((q / t + ROUND_SHIFT) - ROUND_SHIFT) * t
+        append(q)
+    q = np.frombuffer(qs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.flatnonzero(~(np.abs(q / t) < ROUND_RANGE))
+    if len(far):
+        i = int(far[0])
+        eps = float(q[i - 1] - _round_points(q[i - 1:i], t)[0]) if i else 0.0
+        q = np.concatenate([q[:i], _wrap_checked(m, t, eps, h[i:])])
+    return q[:, None], _round_points(q, t)[:, None]
+
+
+def _wrap_checked(m: float, t: float, eps: float, h: np.ndarray):
+    """The scalar coder loop with every step's range test, from eps: the
+    float shift below 2^51 cells, ``round()`` above, and a stop before the
+    first input whose rounding raises.  Returns the inputs q it kept."""
+    qs = array("d")
+    try:
+        for hi in memoryview(h):
+            q = m * eps + hi
+            x = q / t
+            if -ROUND_RANGE < x < ROUND_RANGE:
+                # round half to even in float arithmetic: exactly
+                # float(round(x)), with no Python int built
+                p = ((x + ROUND_SHIFT) - ROUND_SHIFT) * t
+            else:
+                p = round(x) * t
+            eps = q - p
+            qs.append(q)
+    except UNDECODABLE:
+        pass
+    return np.frombuffer(qs)
+
+
+def _round_points(q: np.ndarray, t: float) -> np.ndarray:
+    """The integer points the scalar coder loops chose for the inputs q:
+    the float shift below 2^51 cells and ``np.round`` (half to even, as
+    ``round()``) above, each a separate IEEE operation as in the loops."""
+    x = q / t
+    k = (x + ROUND_SHIFT) - ROUND_SHIFT
+    far = ~(np.abs(x) < ROUND_RANGE)
+    if far.any():
+        k[far] = np.round(x[far])
+    return k * t
 
 
 def _wrap_lockstep(lattices, m_mat: np.ndarray, hs):
@@ -342,7 +399,9 @@ class _Point:
             idx = self.lattice.index_of(points[:steps])
         else:
             idx = np.zeros((steps, plant.n), dtype=np.int64)
-        digest = hashlib.sha256(xs.tobytes() + idx.tobytes()).hexdigest()
+        sha = hashlib.sha256(xs)
+        sha.update(idx)
+        digest = sha.hexdigest()
         window = max(steps - cfg.burn_in, 0)
         if diverged:
             return _diverged_result(steps, window, digest)

@@ -95,3 +95,35 @@ def oracle_digest(cfg) -> str:
     return hashlib.sha256(
         np.asarray(xs, dtype=float).tobytes()
         + np.asarray(idx, dtype=np.int64).tobytes()).hexdigest()
+
+
+def checked_filter_1d(f, drive, y0):
+    """The scalar state filter as it was stepped before its cut moved after
+    the loop: each iterate is range-tested as soon as it is made.  Returns
+    (rows y_0 .. y_{k-1} as a list, diverged)."""
+    out = []
+    if not np.linalg.norm([y0]) < DIVERGENCE_NORM:
+        return out, True
+    y = y0
+    for r in drive:
+        out.append(y)
+        y = f * y + r
+        if not -DIVERGENCE_NORM < y < DIVERGENCE_NORM:
+            return out, True
+    return out, False
+
+
+def round_wrap(m, t, h):
+    """The scalar coder error recursion with round() on every step: the
+    inputs q and points p it keeps, up to the first input round() refuses."""
+    qs, ps, eps = [], [], 0.0
+    for hi in h:
+        q = m * eps + hi
+        try:
+            p = round(q / t) * t
+        except (OverflowError, ValueError):
+            break
+        eps = q - p
+        qs.append(q)
+        ps.append(p)
+    return qs, ps

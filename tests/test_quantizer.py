@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratecost.bounds import rho_covering
 from ratecost.quantizer import (
     DpcmCodec,
     EntropyEstimate,
+    _row_counts,
     a_star_lattice,
     empirical_entropy,
     integer_lattice,
@@ -304,6 +305,22 @@ class TestAStarLattice:
         z = rng.integers(-10**7, 10**7 + 1, size=(200, n))
         assert np.array_equal(lat.index_of(lat.point_of(z)), z)
 
+    @given(st.integers(1, 8), st.floats(-6.0, 6.0), st.integers(0, 9),
+           st.integers(0, 2**32 - 1))
+    @example(8, 6.0, 9, 1)
+    @example(8, -6.0, 9, 2)
+    def test_index_matches_the_solve_form(self, n, log_scale, span, seed):
+        # the basis inverse, taken once, gives the integers a solve gives
+        lat = lattice_for_dimension(n).scale_to_distortion(
+            (10.0 ** log_scale) ** 2)
+        z = np.random.default_rng(seed).integers(-10**span, 10**span,
+                                                 size=(50, n), endpoint=True)
+        pts = lat.point_of(z)
+        solved = np.rint(np.linalg.solve(lat.base_basis,
+                                         (pts / lat.scale).T).T)
+        assert np.array_equal(lat.index_of(pts), z)
+        assert np.array_equal(solved.astype(np.int64), z)
+
     def test_index_rejects_non_lattice_points(self):
         lat = a_star_lattice(2)
         with pytest.raises(ValueError, match="not lattice"):
@@ -461,6 +478,23 @@ class TestEmpiricalEntropy:
                                  plug_in + (len(counts) - 1) / (2.0 * samples),
                                  len(counts), samples)
         assert empirical_entropy(data, burn_in=burn_in) == expect
+
+    @given(st.integers(0, 62), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example(62, 6, 0)
+    def test_one_column_sort_matches_lexsort(self, span_bits, atoms, seed):
+        # one column is counted from np.sort, more from a lexsort; a column
+        # of zeros beside it must not change the counts, near +-2^62 too
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-2**span_bits, 2**span_bits, size=atoms,
+                              endpoint=True)
+        if span_bits == 62:
+            values[:2] = [2**62 - 1, -2**62]
+        data = values[rng.integers(0, atoms, size=(1500, 1))]
+        counts = _row_counts(data)
+        wide = _row_counts(np.column_stack([data, np.zeros_like(data)]))
+        assert np.array_equal(counts, wide)
+        assert np.array_equal(
+            counts, np.unique(data, axis=0, return_counts=True)[1])
 
     def test_burn_in_and_length_guard(self):
         data = np.zeros(1500, dtype=np.int64)

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 import sim_oracle
-from sim_oracle import mv, oracle_digest, run_solved, sweep_solved
+from sim_oracle import (checked_filter_1d, mv, oracle_digest, round_wrap,
+                        run_solved, sweep_solved)
 
 from ratecost import simloop
 from ratecost.riccati import b_min, solve_control, solve_filter, solve_plant
@@ -294,6 +295,34 @@ class TestMatrixPlant:
         if case.endswith("at_limit"):
             assert len(rows) == (1 if case == "at_limit" else 0)
 
+    # Scalar drives with the values that stop the checked loop: +-inf, NaN
+    # and huge finite entries, and F on both sides of |f| = 1.
+    SCALAR_DRIVES = st.lists(st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -9e11]),
+        st.floats(allow_nan=True, allow_infinity=True)), max_size=40)
+
+    @given(st.one_of(st.floats(-0.999, 0.999), st.floats(-40.0, 40.0)),
+           SCALAR_DRIVES, st.floats(-2e12, 2e12))
+    @example(2.0, [1.0] * 5, 1e12)                 # y_0 at the limit
+    @example(0.5, [math.inf, 0.0, 0.0], 1.0)       # y_1, the first step
+    @example(1.5, [1e3] * 40, 1.0)                 # diverges mid-run
+    @example(0.5, [0.0, 1.0, -2e12], 3.0)          # only the final iterate
+    @example(0.5, [1.0, math.nan], 0.0)            # NaN at the final iterate
+    @example(-30.0, [1.0] * 30, 1.0)               # |f| > 1, sign flips
+    @example(1e300, [0.0] * 4, 1e10)               # f y overflows to inf
+    @example(0.0, [], 5.0)                         # no steps
+    def test_scalar_filter_matches_checked_loop(self, f, drive, y0):
+        # the scalar filter cuts after its loop; it must keep the rows and
+        # the flag of the loop that tests every iterate as it goes
+        rows, diverged = _linear_filter(np.array([[f]]),
+                                        np.array(drive, dtype=float)[:, None],
+                                        np.array([y0]))
+        ref, ref_diverged = checked_filter_1d(f, drive, y0)
+        assert diverged == ref_diverged
+        assert rows.shape == (len(ref), 1)
+        assert rows.tobytes() == np.array(ref, dtype=float).tobytes()
+
 
 class TestSweep:
     def test_requires_eight_points(self):
@@ -462,6 +491,29 @@ class TestEngineProperties:
             ref_p.append(pi)
         assert q[:, 0].tobytes() == np.array(ref_q, dtype=float).tobytes()
         assert p[:, 0].tobytes() == np.array(ref_p, dtype=float).tobytes()
+
+    NEAR_CELLS = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10)
+    FAR_CELLS = st.one_of(
+        st.builds(lambda edge, k, sign: sign * (edge + 0.5 * k),
+                  st.sampled_from([2.0 ** 51, 2.0 ** 52]),
+                  st.integers(0, 2 ** 20), st.sampled_from([-1.0, 1.0])),
+        st.floats(2.0 ** 51, 1e40))
+
+    @given(st.floats(-250.0, 250.0).map(lambda e: 10.0 ** e),
+           st.sampled_from([0.0, 2.0]), NEAR_CELLS, FAR_CELLS, NEAR_CELLS)
+    def test_integer_wrap_resumes_after_a_far_step(self, scale, m, before,
+                                                   far, after):
+        # one finite input past 2^51 cells in mid-run: the checked loop takes
+        # over from there, and every later step is still kept
+        cells = before + [far] + after
+        h = np.array(cells) * scale
+        q, p = simloop._wrap(dataclasses.replace(
+            simloop.lattice_for_dimension(1), scale=scale),
+            np.array([[m]]), h[:, None])
+        ref_q, ref_p = round_wrap(m, scale, h.tolist())
+        assert len(ref_q) == len(cells)
+        assert q[:, 0].tobytes() == np.array(ref_q).tobytes()
+        assert p[:, 0].tobytes() == np.array(ref_p).tobytes()
 
     @given(square_plants(), st.data())
     def test_singular_weight_rejected(self, ab, data):
