@@ -8,8 +8,10 @@ coset decode in the sum-zero hyperplane of R^(n+1): one vector in Python
 floats, and many rows (each with its own scale) in one numpy pass over
 rows x glue cosets.  They give the same bits, so a point decodes alike
 alone or in a batch; ``nearest`` picks by the number of rows it is given.
-Only glue cosets that round to sum zero are candidates.  Entropy counts
-the distinct index rows from one stable lexicographic sort.
+Only glue cosets that round to sum zero are candidates.  Both families
+decode only inside ``DECODE_RANGE``, where every unit coordinate (lifted on
+A_n*) rounds exactly and n + 1 <= 9 rounded ones sum exactly in floats.
+Entropy counts the distinct index rows from one stable lexicographic sort.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import numpy as np
 from .bounds import psd_sqrt
 
 TIE_TOL = 1e-12
+DECODE_RANGE = 2.0 ** 48  # cells; a unit coordinate must stay below it
+TOO_FAR = "point too far out to decode in double precision"
 INDEX_ATOL = 1e-12  # per unit of a row's largest coordinate, past 1
 INDEX_LIMIT = 2.0 ** 63  # indices are int64
 MIN_ENTROPY_SAMPLES = 1000
@@ -102,24 +106,26 @@ class Lattice:
         return replace(self, scale=math.sqrt(d) / self.base_covering_radius)
 
     def nearest(self, x) -> np.ndarray:
+        """The nearest lattice point to x or to each row of x; refuses a
+        point outside ``DECODE_RANGE`` or, on A_n*, with no zero-sum coset."""
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.n:
             raise ValueError(f"points must have dimension {self.n}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if self.family == "integer_Z":
-            out = np.round(pts / self.scale) * self.scale
-        elif len(pts) == 1:
-            with np.errstate(all="ignore"):  # x / t may overflow; refused
+        with np.errstate(all="ignore"):  # x / t may overflow; refused
+            if self.family == "integer_Z":
+                unit = pts / self.scale
+                if not np.all(np.abs(unit) < DECODE_RANGE):
+                    raise ValueError(TOO_FAR)
+                out = np.round(unit) * self.scale
+            elif len(pts) == 1:
                 out = np.array([self._nearest_one(pts[0].tolist())])
-        else:
-            out, ok = self._nearest_rows(pts, np.full(len(pts), self.scale))
-            if not ok.all():
-                # the first bad row raises what the one-vector decode raises
-                with np.errstate(all="ignore"):
-                    self._nearest_one(pts[np.argmin(ok)].tolist())
+            else:
+                out, ok = self._nearest_rows(pts, np.full(len(pts),
+                                                          self.scale))
+                if not ok.all():
+                    raise ValueError(TOO_FAR)
         return out[0] if single else out
 
     def _nearest_one(self, x: list[float]) -> list[float]:
@@ -133,13 +139,15 @@ class Lattice:
         r + g_c onto the hyperplane gives an A_n* point at |y - r|^2 -
         k^2/(n+1), while every integer vector of sum zero is at >= |y - r|^2
         (McKilliam, Clarkson & Quinn 2008), so a repaired point loses by
-        1/(n+1) >> ``TIE_TOL``.  This holds while |sum(hyper)| < 1/2, up to
-        about 1e15 in unit coordinates; a point with no zero-sum coset is
-        refused.  The two linear maps stay numpy products on a (1, n) row,
-        which ``_nearest_rows`` repeats row by row for the same bits.
+        1/(n+1) >> ``TIE_TOL``.  A point with any lifted coordinate outside
+        ``DECODE_RANGE`` is refused, and so is one whose roundoff in the lift
+        leaves no zero-sum coset.  The two linear maps stay numpy products on
+        a (1, n) row, which ``_nearest_rows`` repeats for the same bits.
         """
         t = self.scale
         hyper = (np.array([[xi / t for xi in x]]) @ self.lift)[0].tolist()
+        if not all(abs(h) < DECODE_RANGE for h in hyper):  # NaN is not
+            raise ValueError(TOO_FAR)
         cands, d2 = [], []
         for g in _glue_vectors(self.n):
             f = [round(h - gj) for h, gj in zip(hyper, g)]
@@ -165,13 +173,12 @@ class Lattice:
         in one numpy pass over rows x glue cosets; the same bits per row.
 
         Returns (points, ok).  A row is not ok where ``_nearest_one``
-        raises: its lifted point is not finite, or no coset rounds to sum
-        zero; its output row is then meaningless.  Each step repeats the
-        one-vector arithmetic: stacked (1, n) products (a 2-D ``x @ lift``
-        rounds differently), ``np.rint`` for ``round``, squared distances
-        summed column by column, and an exact zero-sum test: float sums
-        of the rounded coordinates are exact below 2^53/(n+1), so rows
-        past ``2**48`` are summed in Python ints.  Rows with more than one
+        raises: a lifted coordinate is outside ``DECODE_RANGE``, or no coset
+        rounds to sum zero; its output row is then meaningless.  Each step
+        repeats the one-vector arithmetic: stacked (1, n) products (a 2-D
+        ``x @ lift`` rounds differently), ``np.rint`` for ``round``, squared
+        distances summed column by column, and a zero-sum test on float
+        sums, exact inside the decode range.  Rows with more than one
         candidate within ``TIE_TOL`` go to ``_break_tie`` in coset order.
         """
         glue = _glue_array(self.n)
@@ -186,12 +193,8 @@ class Lattice:
             for j in range(1, self.n + 1):
                 d2 = d2 + sq[..., j]
             zero_sum = f.sum(axis=2) == 0.0
-            if not np.abs(hyper).max(initial=0.0) < 2.0 ** 48:  # far, or NaN
-                mag = np.abs(hyper).max(axis=(1, 2))
-                zero_sum &= (mag < math.inf)[:, None]
-                far = np.flatnonzero((mag >= 2.0 ** 48) & (mag < math.inf))
-                for i, rows in zip(far, f[far].tolist()):
-                    zero_sum[i] = [sum(map(int, r)) == 0 for r in rows]
+            if not np.abs(hyper).max(initial=0.0) < DECODE_RANGE:  # far or NaN
+                zero_sum &= np.abs(hyper).max(axis=2) < DECODE_RANGE
             d2 = np.where(zero_sum, d2, math.inf)
             low = d2.min(axis=1)
             tied = d2 <= (low + TIE_TOL)[:, None]

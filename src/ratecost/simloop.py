@@ -19,10 +19,10 @@ simulator is one engine built on the separation structure b = c + e + d:
    together instead, with one batched A_n* decode per step.  Both give the
    same bits as ``Lattice.nearest``.  A sweep on an n = 1 plant runs its
    points on forked worker processes instead, one point per task.
-   An input the lattice cannot decode ends the run at that step, which
-   is reported as a divergence.  So does a row of either linear pass,
-   the first one included, whose norm reaches ``DIVERGENCE_NORM``: every
-   stream is cut at the shortest pass.
+   An input ``Lattice.nearest`` refuses (outside ``DECODE_RANGE``) ends
+   the run at that step, which is reported as a divergence.  So does a row
+   of either linear pass, the first one included, whose norm reaches
+   ``DIVERGENCE_NORM``: every stream is cut at the shortest pass.
 3. Linear passes compute the rest: the closed-loop state (a stable linear
    filter of v and the total error x - s_hat, stepped on Python floats),
    the control, the c/e/d terms, the digest and the audits.  The per-step
@@ -42,7 +42,7 @@ from itertools import repeat
 import numpy as np
 
 from .bounds import sandwich_curve, whitening
-from .quantizer import (MIN_ENTROPY_SAMPLES, EntropyEstimate,
+from .quantizer import (DECODE_RANGE, MIN_ENTROPY_SAMPLES, EntropyEstimate,
                         empirical_entropy, lattice_for_dimension)
 from .riccati import b_min
 from .sysmodel import LinearPlant
@@ -51,13 +51,10 @@ DIVERGENCE_NORM = 1e12
 # horizon x n: a run holds several horizon-length streams, and a lockstep
 # sweep those of every point, so one stream stays within 800 MB
 MAX_STREAM_VALUES = 10 ** 8
-# what rounding an input raises when the lattice cannot decode it
-UNDECODABLE = (OverflowError, ValueError)
 # For |x| < 2^51, (x + 1.5 * 2^52) lies in [2^52, 2^53), where the float
 # spacing is 1, so adding and subtracting the even shift rounds x to the
-# nearest integer, ties to even, as round() does.
+# nearest integer, ties to even, as round() does: exact in DECODE_RANGE.
 ROUND_SHIFT = 6755399441055744.0
-ROUND_RANGE = 2.0 ** 51
 BATCH_COUNT = 20
 DISTORTION_SLACK = 1e-9
 MIN_SWEEP_POINTS = 8
@@ -198,10 +195,9 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
     Returns the quantizer inputs q and the chosen lattice points, one row
     per step.  Both loops run on plain floats and give the same bits as
     ``Lattice.nearest``: rounding on the integers (``_wrap_integer``, which
-    finds its far and non-finite inputs after its loop), the lattice's
-    one-vector decoder on A_n*, with q summed in column order like ``_mv``.
-    The rows stop before the first input the lattice cannot decode: one
-    whose rounding overflows or is NaN, or one too far out for A_n*.
+    finds its cut after its loop), the lattice's one-vector decoder on
+    A_n*, with q summed in column order like ``_mv``.  The rows stop before
+    the first input ``nearest`` refuses.
     """
     n = h.shape[1]
     if lattice.family == "integer_Z":
@@ -223,7 +219,7 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
                 eps = [qr - pr for qr, pr in zip(q, p)]
                 qs.extend(q)
                 ps.extend(p)
-        except UNDECODABLE:
+        except ValueError:
             pass
     return np.frombuffer(qs).reshape(-1, n), np.frombuffer(ps).reshape(-1, n)
 
@@ -231,12 +227,11 @@ def _wrap(lattice, m_mat: np.ndarray, h: np.ndarray):
 def _wrap_integer(m: float, t: float, h: np.ndarray):
     """``_wrap`` on the integers at cell width t, for the scalar drive h.
 
-    The fast loop stores only q and rounds every step with the float shift,
-    untested.  After it, the first stored step whose cell count |q/t| is
-    not below 2^51, NaN included, is where the shift stops being exact:
-    ``_wrap_checked`` steps the rest of the run from the eps the fast loop
-    had before it.  ``_round_points`` then rebuilds every chosen point in
-    numpy with the loop's own IEEE operations.
+    The loop stores only q and rounds every step with the float shift,
+    untested.  After it, the rows stop before the first stored input whose
+    cell count |q/t| is not below ``DECODE_RANGE``, NaN included; up to
+    there the shift is exact, and the chosen points are rebuilt in numpy
+    with the loop's own IEEE operations.
     """
     qs, eps = array("d"), 0.0
     append = qs.append
@@ -246,46 +241,10 @@ def _wrap_integer(m: float, t: float, h: np.ndarray):
         append(q)
     q = np.frombuffer(qs)
     with np.errstate(over="ignore", invalid="ignore"):
-        far = np.flatnonzero(~(np.abs(q / t) < ROUND_RANGE))
-    if len(far):
-        i = int(far[0])
-        eps = float(q[i - 1] - _round_points(q[i - 1:i], t)[0]) if i else 0.0
-        q = np.concatenate([q[:i], _wrap_checked(m, t, eps, h[i:])])
-    return q[:, None], _round_points(q, t)[:, None]
-
-
-def _wrap_checked(m: float, t: float, eps: float, h: np.ndarray):
-    """The scalar coder loop with every step's range test, from eps: the
-    float shift below 2^51 cells, ``round()`` above, and a stop before the
-    first input whose rounding raises.  Returns the inputs q it kept."""
-    qs = array("d")
-    try:
-        for hi in memoryview(h):
-            q = m * eps + hi
-            x = q / t
-            if -ROUND_RANGE < x < ROUND_RANGE:
-                # round half to even in float arithmetic: exactly
-                # float(round(x)), with no Python int built
-                p = ((x + ROUND_SHIFT) - ROUND_SHIFT) * t
-            else:
-                p = round(x) * t
-            eps = q - p
-            qs.append(q)
-    except UNDECODABLE:
-        pass
-    return np.frombuffer(qs)
-
-
-def _round_points(q: np.ndarray, t: float) -> np.ndarray:
-    """The integer points the scalar coder loops chose for the inputs q:
-    the float shift below 2^51 cells and ``np.round`` (half to even, as
-    ``round()``) above, each a separate IEEE operation as in the loops."""
-    x = q / t
-    k = (x + ROUND_SHIFT) - ROUND_SHIFT
-    far = ~(np.abs(x) < ROUND_RANGE)
-    if far.any():
-        k[far] = np.round(x[far])
-    return k * t
+        x = q / t
+        far = np.flatnonzero(~(np.abs(x) < DECODE_RANGE))
+    k = int(far[0]) if len(far) else len(q)
+    return q[:k, None], (((x[:k] + ROUND_SHIFT) - ROUND_SHIFT) * t)[:, None]
 
 
 def _wrap_lockstep(lattices, m_mat: np.ndarray, hs):

@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 
 from ratecost.bounds import psd_sqrt
-from ratecost.quantizer import lattice_for_dimension
+from ratecost.quantizer import DECODE_RANGE, lattice_for_dimension
 from ratecost.riccati import solve_control, solve_filter, solve_plant
 from ratecost.simloop import run, sweep
 
@@ -115,14 +115,14 @@ def checked_filter_1d(f, drive, y0):
 
 def round_wrap(m, t, h):
     """The scalar coder error recursion with round() on every step: the
-    inputs q and points p it keeps, up to the first input round() refuses."""
+    inputs q and points p it keeps, up to the first input whose cell count
+    |q/t| is not below ``DECODE_RANGE``, NaN included."""
     qs, ps, eps = [], [], 0.0
     for hi in h:
         q = m * eps + hi
-        try:
-            p = round(q / t) * t
-        except (OverflowError, ValueError):
+        if not abs(q / t) < DECODE_RANGE:
             break
+        p = round(q / t) * t
         eps = q - p
         qs.append(q)
         ps.append(p)

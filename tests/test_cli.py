@@ -804,7 +804,7 @@ def test_subcommands_take_only_the_flags_they_read(tmp_path, capsys, argv):
 
 # Extreme inputs, each once a raw traceback, a stray warning line or a
 # decoder error in place of a diverged run: (command, config overrides,
-# plant overrides, expected exit status).
+# plant overrides, the stdout line that reports the divergence).
 _FAR_TWO_DIM = {"a": [[1.4, 0.2], [0.0, 0.5]], "b": [[1.0, 0.0], [0.0, 1.0]],
                 "q": [[1.0, 0.0], [0.0, 1.0]], "r": [[1.0, 0.0], [0.0, 1.0]],
                 "noise_v": {"family": "gaussian",
@@ -812,24 +812,34 @@ _FAR_TWO_DIM = {"a": [[1.4, 0.2], [0.0, 0.5]], "b": [[1.0, 0.0], [0.0, 1.0]],
                 "noise_x1": {"family": "gaussian",
                              "covariance": [[1e36, 0.0], [0.0, 1e36]]}}
 _LAPLACE = {"noise_v": {"family": "laplace", "covariance": [[1.0]]}}
+_LAPLACE_TWO_DIM = dict(_FAR_TWO_DIM, noise_v={
+    "family": "laplace", "covariance": [[1.0, 0.0], [0.0, 1.0]]})
+del _LAPLACE_TWO_DIM["noise_x1"]
+_AT_STEP_0 = "diverged at step 0"
 EXTREME_PROBES = {
     "far_first_state_n2": ("simulate", {"distortion": 1.0, "horizon": 2000,
-                                        "seed": 0}, _FAR_TWO_DIM, 0),
+                                        "seed": 0}, _FAR_TWO_DIM, _AT_STEP_0),
     "far_first_state_n2_sweep": ("sweep", {"d_grid": TestSweepCommand.GRID,
-                                           "horizon": 2000}, _FAR_TWO_DIM, 0),
+                                           "horizon": 2000}, _FAR_TWO_DIM,
+                                 "diverged: d=1.5"),
     "overflowing_rounding": ("simulate", {"distortion": 1e-318,
                                           "horizon": 20_000},
                              dict(_LAPLACE, noise_x1={
                                  "family": "gaussian",
-                                 "covariance": [[1e300]]}), 0),
+                                 "covariance": [[1e300]]}), _AT_STEP_0),
+    # the first coder input is about 1e159 cells, past the decode range
     "index_past_int64": ("simulate", {"distortion": 1e-318,
-                                      "horizon": 20_000}, _LAPLACE, 2),
+                                      "horizon": 20_000}, _LAPLACE,
+                         _AT_STEP_0),
+    "index_past_int64_n2": ("simulate", {"distortion": 1e-318,
+                                         "horizon": 20_000},
+                            _LAPLACE_TWO_DIM, _AT_STEP_0),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(EXTREME_PROBES))
 def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
-    command, over, plant, code = EXTREME_PROBES[probe]
+    command, over, plant, line = EXTREME_PROBES[probe]
     raw = base_config(**over)
     raw["plant"].update(plant)
     path = tmp_path / "cfg.json"
@@ -839,13 +849,10 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, probe):
     proc = subprocess.run(
         [sys.executable, "-m", "ratecost.cli", command, "--config", str(path)],
         env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == code
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1
-    if code == 0:
-        assert "diverged" in proc.stdout
-    else:
-        assert "cell scale" in proc.stderr
+    assert line in proc.stdout.splitlines()
 
 
 def test_overflowing_one_vector_decode_prints_no_warning(tmp_path, capsys):

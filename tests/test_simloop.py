@@ -11,6 +11,7 @@ from sim_oracle import (checked_filter_1d, mv, oracle_digest, round_wrap,
                         run_solved, sweep_solved)
 
 from ratecost import simloop
+from ratecost.quantizer import DECODE_RANGE
 from ratecost.riccati import b_min, solve_control, solve_filter, solve_plant
 from ratecost.simloop import (DIVERGENCE_NORM, SimConfig, TradeoffPoint,
                               _linear_filter, run, sweep)
@@ -369,10 +370,8 @@ class TestLockstepSweep:
     sweep runs its points on worker processes; each point must still be its
     own run, bit for bit, and in grid order."""
 
-    # d = 1e-31 puts the coder input near 1e15 cells, where A_n* has no
-    # zero-sum coset on some step: point 0 is cut early, the rest go on.
-    # On the integers it crosses 2^51 cells on some steps, where the coder
-    # rounds through round() instead of the float shift.
+    # d = 1e-31 puts the coder input near 1e15 cells, past DECODE_RANGE on
+    # some step on either lattice: point 0 is cut early, the rest go on.
     GRID = [1e-31, *np.geomspace(0.5, 8.0, 7)]
 
     @pytest.mark.parametrize("case", ["n2", "n3", "partial_n2",
@@ -415,8 +414,6 @@ class TestLockstepSweep:
             cell = simloop.lattice_for_dimension(1).scale_to_distortion(1e-318)
             q, _ = simloop._wrap(cell, np.eye(1), np.array([[1e150]]))
             assert len(q) == 0
-        elif case.startswith("n1"):
-            assert set(steps) == {2_000}
         else:
             assert steps[0] < 2_000 and set(steps[1:]) == {2_000}
 
@@ -436,20 +433,15 @@ def square_plants(draw):
     return a, b
 
 
-def _cell_lists(cells):
-    return st.lists(cells, min_size=1, max_size=12)
-
-
-# Coder inputs counted in cells of the integer lattice, one family per
-# example: half-integers, values near +-2^51 and +-2^52 (where the float
-# rounding shift stops being exact), or any float and the non-finite ones.
-WRAP_CELLS = st.one_of(
-    _cell_lists(st.integers(-2 ** 52 + 1, 2 ** 52 - 1).map(lambda k: k + 0.5)),
-    _cell_lists(st.builds(lambda edge, sign, k: sign * (edge + 0.5 * k),
-                          st.sampled_from([2.0 ** 51, 2.0 ** 52]),
-                          st.sampled_from([-1.0, 1.0]), st.integers(-8, 8))),
-    _cell_lists(st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]),
-                          st.floats())))
+# Coder inputs counted in cells of the integer lattice, mixed in one run:
+# half-integers below DECODE_RANGE, values within two ulps of +-DECODE_RANGE,
+# the non-finite ones, and any float.
+WRAP_CELLS = st.lists(st.one_of(
+    st.integers(-2 ** 48, 2 ** 48 - 1).map(lambda k: k + 0.5),
+    st.builds(lambda k, sign: sign * DECODE_RANGE * (1.0 + k * 2.0 ** -52),
+              st.integers(-2, 2), st.sampled_from([-1.0, 1.0])),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats()), min_size=1, max_size=12)
 
 
 def _plant(a, b):
@@ -469,51 +461,24 @@ class TestEngineProperties:
 
     @given(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.booleans(),
            st.sampled_from([0.0, 2.0]), WRAP_CELLS)
-    def test_integer_wrap_rounds_as_round_does(self, scale, snap, m, cells):
-        # The scalar coder rounds in float arithmetic where it can; it must
-        # give round()'s bits and stop on the same input.  With m = 0 and a
-        # power-of-two scale, q / t is each drawn cell count exactly.
+    @example(1.0, True, 0.0, [0.5, DECODE_RANGE * (1.0 - 2.0 ** -52), 1.5,
+                              -DECODE_RANGE, 0.5])
+    @example(1e-300, False, 0.0, [2.5, 0.5, math.nan, 0.5])
+    def test_integer_wrap_stops_at_the_decode_range(self, scale, snap, m,
+                                                    cells):
+        # The scalar coder rounds every step with the float shift and cuts
+        # after its loop: it keeps exactly the steps before the first input
+        # whose cell count is not below DECODE_RANGE, with round()'s bits.
+        # With m = 0 and a power-of-two scale, q / t is each drawn count.
         t = 2.0 ** math.floor(math.log2(scale)) if snap else scale
         lattice = dataclasses.replace(
             simloop.lattice_for_dimension(1), scale=t)
         with np.errstate(over="ignore", invalid="ignore"):
             h = np.array(cells) * t
         q, p = simloop._wrap(lattice, np.array([[m]]), h[:, None])
-        ref_q, ref_p, eps = [], [], 0.0
-        for hi in h.tolist():
-            qi = m * eps + hi
-            try:
-                pi = round(qi / t) * t
-            except (OverflowError, ValueError):
-                break
-            eps = qi - pi
-            ref_q.append(qi)
-            ref_p.append(pi)
+        ref_q, ref_p = round_wrap(m, t, h.tolist())
         assert q[:, 0].tobytes() == np.array(ref_q, dtype=float).tobytes()
         assert p[:, 0].tobytes() == np.array(ref_p, dtype=float).tobytes()
-
-    NEAR_CELLS = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10)
-    FAR_CELLS = st.one_of(
-        st.builds(lambda edge, k, sign: sign * (edge + 0.5 * k),
-                  st.sampled_from([2.0 ** 51, 2.0 ** 52]),
-                  st.integers(0, 2 ** 20), st.sampled_from([-1.0, 1.0])),
-        st.floats(2.0 ** 51, 1e40))
-
-    @given(st.floats(-250.0, 250.0).map(lambda e: 10.0 ** e),
-           st.sampled_from([0.0, 2.0]), NEAR_CELLS, FAR_CELLS, NEAR_CELLS)
-    def test_integer_wrap_resumes_after_a_far_step(self, scale, m, before,
-                                                   far, after):
-        # one finite input past 2^51 cells in mid-run: the checked loop takes
-        # over from there, and every later step is still kept
-        cells = before + [far] + after
-        h = np.array(cells) * scale
-        q, p = simloop._wrap(dataclasses.replace(
-            simloop.lattice_for_dimension(1), scale=scale),
-            np.array([[m]]), h[:, None])
-        ref_q, ref_p = round_wrap(m, scale, h.tolist())
-        assert len(ref_q) == len(cells)
-        assert q[:, 0].tobytes() == np.array(ref_q).tobytes()
-        assert p[:, 0].tobytes() == np.array(ref_p).tobytes()
 
     @given(square_plants(), st.data())
     def test_singular_weight_rejected(self, ab, data):
