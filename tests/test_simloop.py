@@ -464,8 +464,7 @@ class TestEngineProperties:
     @example(1.0, True, 0.0, [0.5, DECODE_RANGE * (1.0 - 2.0 ** -52), 1.5,
                               -DECODE_RANGE, 0.5])
     @example(1e-300, False, 0.0, [2.5, 0.5, math.nan, 0.5])
-    def test_integer_wrap_stops_at_the_decode_range(self, scale, snap, m,
-                                                    cells):
+    def test_integer_wrap_rounds_as_round_does(self, scale, snap, m, cells):
         # The scalar coder rounds every step with the float shift and cuts
         # after its loop: it keeps exactly the steps before the first input
         # whose cell count is not below DECODE_RANGE, with round()'s bits.
