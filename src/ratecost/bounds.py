@@ -123,7 +123,9 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
     sequence limit, the geometric mean of the m largest |eig(A)|, joins the
     minimum in their place.  The first term, L A K, is a product of the
     inputs, not of a power, and is always kept.  ``converged``
-    records whether the kept terms stabilised or reached that limit.
+    records whether the kept terms stabilised or reached that limit.  All
+    finite powers are formed first, with one stacked SVD of the terms,
+    which are then truncated at the same break.
     """
     if d <= 0:
         raise ValueError("distortion d must be positive")
@@ -132,7 +134,11 @@ def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
 
 def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     """causal_slb_lowrank as a function of d > 0.  The infimum a and the
-    weight w do not depend on d: they are computed here, once."""
+    weight w do not depend on d: they are computed here, once.  The powers
+    fill one (DEFAULT_I_MAX, n, n) stack; one SVD over the products L A^i K
+    of finite, nonzero scale finds the break, and each term before it has
+    the bits, warnings and errors of a term-by-term loop.
+    """
     a = np.asarray(a_mat, dtype=float)
     l = np.asarray(l_mat, dtype=float)
     k = np.asarray(k_mat, dtype=float)
@@ -149,28 +155,52 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     else:
         a_limit = 0.0
 
-    log_den = _logdet(cov) + _logdet(l @ l.T) + _logdet(k.T @ k)
+    log_ll, log_kk = _logdet(l @ l.T), _logdet(k.T @ k)
+    log_den = _logdet(cov) + log_ll + log_kk
     cov_half = psd_sqrt(cov)
-    a_terms: list[float] = []
+    pows = np.empty((DEFAULT_I_MAX, n, n))  # pows[i - 1] = A^i
     a_pow = np.eye(n)
-    for i in range(1, DEFAULT_I_MAX + 1):
-        a_pow = a_pow @ a
-        if not np.all(np.isfinite(a_pow)):
-            break
-        mat = l @ a_pow @ k  # m x kdim
-        scale = float(np.max(np.abs(mat)))
-        if scale == 0.0 or not math.isfinite(log_den):
-            a_terms.append(0.0)
-            continue
+    # A power or product past the point where a term-by-term loop stops
+    # must not warn; the warnings of those it reaches are replayed below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out in pows:
+            a_pow = np.matmul(a_pow, a, out=out)
+        finite = np.isfinite(pows).all(axis=(1, 2))
+        count = DEFAULT_I_MAX if finite.all() else int(finite.argmin())
+        mats = l @ pows[:count] @ k  # m x kdim each
+    scales = np.abs(mats).max(axis=(1, 2))
+    priced = math.isfinite(log_den)  # else every term is 0.0, with no SVD
+    rows = np.flatnonzero((scales > 0.0) & (scales < math.inf) & priced)
+    stop = count  # terms 1..stop, as the term-by-term loop kept them
+    if rows.size:
         # det(mat cov mat^T) through singular values of mat cov^(1/2); the
         # explicit Gram product would square the condition number.
-        svals = np.linalg.svd((mat / scale) @ cov_half, compute_uv=False)
-        if i > 1 and svals[-1] <= 1e-5 * svals[0]:
-            break  # roundoff floor of A^i: later terms carry no information
-        log_num = 2.0 * (m * math.log(scale) + float(np.sum(np.log(svals))))
-        a_terms.append(math.exp((log_num - log_den) / (2.0 * i * m)))
+        svals = np.linalg.svd((mats[rows] / scales[rows, None, None]) @ cov_half,
+                              compute_uv=False)
+        for r, low, high in zip(rows.tolist(), svals[:, -1].tolist(),
+                                svals[:, 0].tolist()):
+            if r and low <= 1e-5 * high:
+                stop = r  # roundoff floor of A^i: later terms carry no information
+                break
+    a_terms = [0.0] * stop
+    kept = rows[rows < stop].tolist()
+    if kept:
+        scale_of = scales.tolist()
+        log_svals = np.log(svals[: len(kept)]).sum(axis=1).tolist()
+        for r, log_sval in zip(kept, log_svals):
+            log_num = 2.0 * (m * math.log(scale_of[r]) + log_sval)
+            a_terms[r] = math.exp((log_num - log_den) / (2.0 * (r + 1) * m))
+    # A product that overflowed where the loop reached it: warn as the loop
+    # did and, when priced, fail as its SVD of NaN did (LinAlgError).
+    for r in np.flatnonzero(~np.isfinite(scales[:stop])).tolist():
+        mat = l @ pows[r] @ k
+        if priced:
+            np.linalg.svd((mat / float(np.max(np.abs(mat)))) @ cov_half,
+                          compute_uv=False)
     if not a_terms:
         raise ValueError("dynamics matrix powers overflowed before the first term")
+    if stop == count < DEFAULT_I_MAX:  # the loop went on to the power that overflowed
+        pows[count - 1] @ a
     a_inf = min(min(a_terms), a_limit)
     tail_stable = (len(a_terms) >= 2
                    and abs(a_terms[-1] - a_terms[-2])
@@ -178,7 +208,7 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     at_limit = abs(a_terms[-1] - a_limit) <= 1e-6 * max(1.0, a_limit)
     converged = tail_stable or at_limit
 
-    log_w = (_logdet(l @ l.T) + _logdet(k.T @ k)) / m
+    log_w = (log_ll + log_kk) / m
     w = math.exp(log_w) if math.isfinite(log_w) else 0.0
 
     def at(d: float) -> InfimumBound:

@@ -146,14 +146,17 @@ def _doubled_iterates(a, b, q, r):
     construction, and H_0 = Q; with W = I + G_k H_k,
     A_{k+1} = A_k W^{-1} A_k, G_{k+1} = G_k + A_k W^{-1} G_k A_k^T and
     H_{k+1} = H_k + A_k^T H_k W^{-1} A_k.  W is invertible, as G_k H_k is
-    a product of PSD matrices.  Raises LinAlgError when R has no Cholesky
-    factor.
+    a product of PSD matrices.  One solve gives W^{-1} [A_k, G_k]; its two
+    column blocks are read as views, not copies.  Raises LinAlgError when R
+    has no Cholesky factor.
     """
     y = np.linalg.solve(np.linalg.cholesky(r), b.T)
     g, h = y.T @ y, q
-    eye = np.eye(len(a))
+    n = len(a)
+    eye = np.eye(n)
     while True:
-        w_a, w_g = np.hsplit(np.linalg.solve(eye + g @ h, np.hstack([a, g])), 2)
+        sol = np.linalg.solve(eye + g @ h, np.concatenate([a, g], axis=1))
+        w_a, w_g = sol[:, :n], sol[:, n:]
         a, g, h = a @ w_a, _sym(g + a @ w_g @ a.T), _sym(h + a.T @ h @ w_a)
         yield a, g, h
 

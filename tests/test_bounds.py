@@ -1,9 +1,12 @@
+import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from bound_oracle import slb_lowrank
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, schur
 
@@ -512,6 +515,73 @@ ILL_CONDITIONED_FIRST_TERM = {
     "noise_v": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]},
     "noise_w": {"family": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]]},
 }
+
+
+def _lowrank_outcome(slb, a, l, k, cov):
+    """What one low-rank infimum computes, raises and warns: the infimum a,
+    the converged flag, the weight w and the bound at three d, or the
+    exception; and every warning, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            at = slb(a, l, k, cov, 1.3)
+            got = inspect.getclosurevars(at).nonlocals
+            outcome = (got["a_inf"], got["converged"], got["w"],
+                       [at(d) for d in (1e-9, 0.37, 1e6)])
+        except Exception as exc:  # compared, type and message, with the oracle
+            outcome = (type(exc).__name__, str(exc))
+    return repr(outcome), [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def lowrank_inputs(draw):
+    """(A, L, K, Cov) with n <= 6 and 1 <= m <= kdim <= n; Cov is singular
+    when its factor has fewer than kdim columns, and A at scale 1e5 has
+    powers that overflow before term 64."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    kdim = draw(st.integers(1, n))
+    m = draw(st.integers(1, kdim))
+    a = rng.standard_normal((n, n)) * draw(st.sampled_from([0.1, 1.0, 3.0, 1e5]))
+    g = rng.standard_normal((kdim, draw(st.integers(1, kdim))))
+    return a, rng.standard_normal((m, n)), rng.standard_normal((n, kdim)), g @ g.T
+
+
+@given(lowrank_inputs())
+# nilpotent A: L A^i K is 0 from i = 2 on, terms 0.0 with no break test
+@example((np.eye(3, k=1), [[1.0, 0.0, 0.0]], np.eye(3)[:, :2], np.eye(2)))
+# singular Cov: log_den is -inf and every term is 0.0, with no SVD
+@example((np.array([[1.2, 0.3], [0.0, 0.7]]), [[1.0, 0.0]], np.eye(2),
+          np.ones((2, 2))))
+# A^52 overflows (m = 1, so no break): one "overflow encountered in matmul"
+@example((np.diag([1e6, 0.5]), [[1.0, 1.0]], np.eye(2), np.eye(2)))
+# the 1e-5 break at i = 2; A^52 overflows after it, with no warning
+@example((np.diag([1e6, 0.5]), np.eye(2), np.eye(2), np.eye(2)))
+@example((np.diag([1e3, 0.5]), np.eye(2), np.eye(2), np.eye(2)))
+# L A^3 K overflows after the break at i = 2: never priced, no warning
+@example((np.diag([1e3, 0.5]), np.diag([1e150, 1.0]), np.diag([1e150, 1.0]),
+          np.eye(2)))
+# L A^3 K overflows before any break: the same warnings, then the SVD of
+# NaN fails with the same LinAlgError
+@example((np.diag([1e3, 0.9]), [[1e150, 1e-3]], [[1e150], [1.0]], [[1.0]]))
+# L A K overflows at every odd power only: the first one fails, as before
+@example((np.array([[0.0, 1e200], [1e-200, 0.0]]), [[1e150, 0.0]],
+          [[1.0], [1.0]], [[1.0]]))
+# ... and with a singular Cov every overflowing product still warns
+@example((np.diag([1e3, 0.9]), [[1e150, 1e-3]], [[1e150, 0.0], [1.0, 0.0]],
+          np.eye(2)))
+# a zero singular value in the first term: "divide by zero encountered in log"
+@example((np.diag([1.0, 0.0]), np.eye(2), np.eye(2), np.eye(2)))
+# a non-finite A: eigvals refuses it first, so the "powers overflowed before
+# the first term" error is unreachable; both raise the same LinAlgError
+@example((np.array([[np.inf, 0.0], [0.0, 1.0]]), [[1.0, 0.0]], np.eye(2),
+          np.eye(2)))
+def test_lowrank_terms_match_the_term_loop(case):
+    """The stacked low-rank infimum equals the term-by-term loop bit for bit,
+    and raises and warns as it does, on every branch of that loop."""
+    a, l, k, cov = (np.asarray(x, dtype=float) for x in case)
+    assert (_lowrank_outcome(bounds._slb_lowrank, a, l, k, cov)
+            == _lowrank_outcome(slb_lowrank, a, l, k, cov))
 
 
 def test_ill_conditioned_first_lowrank_term_is_kept(tmp_path, capsys):
