@@ -4,7 +4,6 @@ converse bounds, lattice DPCM coding, and seeded closed-loop simulation."""
 from .bounds import (
     InfimumBound,
     alpha_n,
-    causal_slb,
     causal_slb_lowrank,
     entropy_cost_upper,
     lower_bound_full,
@@ -65,7 +64,6 @@ __all__ = [
     "a_star_lattice",
     "alpha_n",
     "b_min",
-    "causal_slb",
     "causal_slb_lowrank",
     "empirical_entropy",
     "entropy_cost_upper",

@@ -62,7 +62,7 @@ def whitening(weight: np.ndarray):
 def _logdet(mat: np.ndarray) -> float:
     """log det of a PSD matrix, -inf when singular."""
     sign, val = np.linalg.slogdet(mat)
-    return val if sign > 0 else -math.inf
+    return float(val) if sign > 0 else -math.inf
 
 
 def _require_feasible(b: float, bmin: float) -> float:
@@ -87,20 +87,6 @@ def unstable_floor(a_mat) -> float:
     return float(np.sum(np.log(mags[mags >= 1.0])))
 
 
-def causal_slb(a: float, w: float, entropy_power: float, n: int, d: float) -> float:
-    """Causal Shannon lower bound (n/2) log(a^2 + w N / (d/n)).
-
-    a is the per-dimension dynamics gain |det A|^(1/n), w the per-dimension
-    weight determinant, and d the weighted mean-square distortion budget.
-    n may be a number ell of retained modes; ell = 0 gives rate 0.
-    """
-    if d <= 0:
-        raise ValueError("distortion d must be positive")
-    if n == 0:
-        return 0.0
-    return 0.5 * n * math.log(a * a + w * entropy_power * n / d)
-
-
 @dataclass(frozen=True)
 class InfimumBound:
     """Result of a determinant-ratio infimum bound (rank-deficient cases)."""
@@ -109,35 +95,24 @@ class InfimumBound:
     converged: bool
 
 
-def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float,
-                       d: float) -> InfimumBound:
-    """Low-rank causal SLB for sources s_{i+1} = A s_i + K v'_i with weight
-    W = L^T L, rank m = rows(L) <= k = cols(K) <= n.
+def causal_slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
+    """Low-rank causal SLB, as a function of the distortion d > 0, for
+    sources s_{i+1} = A s_i + K v'_i with weight W = L^T L, rank
+    m = rows(L) <= k = cols(K) <= n.
 
-    Evaluates (m/2) log(a^2 + w N(v')^{k/m} / (d/m)) with
+    The bound at d is (m/2) log(a^2 + w N(v')^{k/m} / (d/m)) with
       a = inf_i [det(L A^i K Cov Kt A^it Lt) / (det Cov det(L Lt) det(Kt K))]^(1/(2 i m))
       w = (det(L Lt) det(Kt K))^(1/m)
-    The infimum is truncated at DEFAULT_I_MAX terms (running minimum).
-    Terms past the first are dropped once A^i is so ill conditioned that the
-    product has no significant digits left in its smallest direction; the
-    sequence limit, the geometric mean of the m largest |eig(A)|, joins the
-    minimum in their place.  The first term, L A K, is a product of the
-    inputs, not of a power, and is always kept.  ``converged``
-    records whether the kept terms stabilised or reached that limit.  All
-    finite powers are formed first, with one stacked SVD of the terms,
-    which are then truncated at the same break.
-    """
-    if d <= 0:
-        raise ValueError("distortion d must be positive")
-    return _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power)(d)
-
-
-def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
-    """causal_slb_lowrank as a function of d > 0.  The infimum a and the
-    weight w do not depend on d: they are computed here, once.  The powers
-    fill one (DEFAULT_I_MAX, n, n) stack; one SVD over the products L A^i K
-    of finite, nonzero scale finds the break, and each term before it has
-    the bits, warnings and errors of a term-by-term loop.
+    a and w do not depend on d: they are computed here, once.  The
+    infimum is a running minimum over at most DEFAULT_I_MAX terms.  The
+    terms end before the first product L A^i K past the float range, and
+    past the first term once A^i is so ill conditioned that the product
+    has no significant digits left in its smallest direction; the sequence
+    limit, the geometric mean of the m largest |eig(A)|, joins the minimum
+    in their place.  ``converged`` records whether the kept terms
+    stabilised or reached that limit.  All powers and products are formed
+    in one stack, with one stacked SVD of the products.  A first term
+    L A K or a weight w past the float range is refused.
     """
     a = np.asarray(a_mat, dtype=float)
     l = np.asarray(l_mat, dtype=float)
@@ -155,23 +130,23 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     else:
         a_limit = 0.0
 
-    log_ll, log_kk = _logdet(l @ l.T), _logdet(k.T @ k)
-    log_den = _logdet(cov) + log_ll + log_kk
-    cov_half = psd_sqrt(cov)
     pows = np.empty((DEFAULT_I_MAX, n, n))  # pows[i - 1] = A^i
     a_pow = np.eye(n)
-    # A power or product past the point where a term-by-term loop stops
-    # must not warn; the warnings of those it reaches are replayed below.
+    # A product past the float range ends the terms or refuses w, silently.
     with np.errstate(over="ignore", invalid="ignore"):
+        log_ll, log_kk = _logdet(l @ l.T), _logdet(k.T @ k)
         for out in pows:
             a_pow = np.matmul(a_pow, a, out=out)
-        finite = np.isfinite(pows).all(axis=(1, 2))
-        count = DEFAULT_I_MAX if finite.all() else int(finite.argmin())
-        mats = l @ pows[:count] @ k  # m x kdim each
+        mats = l @ pows @ k  # m x kdim each
+    log_den = _logdet(cov) + log_ll + log_kk
+    cov_half = psd_sqrt(cov)
     scales = np.abs(mats).max(axis=(1, 2))
+    finite = np.isfinite(scales)
+    stop = DEFAULT_I_MAX if finite.all() else int(finite.argmin())
+    if stop == 0:
+        raise ValueError("the first term L A K is not finite")
     priced = math.isfinite(log_den)  # else every term is 0.0, with no SVD
-    rows = np.flatnonzero((scales > 0.0) & (scales < math.inf) & priced)
-    stop = count  # terms 1..stop, as the term-by-term loop kept them
+    rows = np.flatnonzero((scales[:stop] > 0.0) & priced)
     if rows.size:
         # det(mat cov mat^T) through singular values of mat cov^(1/2); the
         # explicit Gram product would square the condition number.
@@ -190,17 +165,6 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
         for r, log_sval in zip(kept, log_svals):
             log_num = 2.0 * (m * math.log(scale_of[r]) + log_sval)
             a_terms[r] = math.exp((log_num - log_den) / (2.0 * (r + 1) * m))
-    # A product that overflowed where the loop reached it: warn as the loop
-    # did and, when priced, fail as its SVD of NaN did (LinAlgError).
-    for r in np.flatnonzero(~np.isfinite(scales[:stop])).tolist():
-        mat = l @ pows[r] @ k
-        if priced:
-            np.linalg.svd((mat / float(np.max(np.abs(mat)))) @ cov_half,
-                          compute_uv=False)
-    if not a_terms:
-        raise ValueError("dynamics matrix powers overflowed before the first term")
-    if stop == count < DEFAULT_I_MAX:  # the loop went on to the power that overflowed
-        pows[count - 1] @ a
     a_inf = min(min(a_terms), a_limit)
     tail_stable = (len(a_terms) >= 2
                    and abs(a_terms[-1] - a_terms[-2])
@@ -208,10 +172,15 @@ def _slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     at_limit = abs(a_terms[-1] - a_limit) <= 1e-6 * max(1.0, a_limit)
     converged = tail_stable or at_limit
 
-    log_w = (log_ll + log_kk) / m
-    w = math.exp(log_w) if math.isfinite(log_w) else 0.0
+    log_w = (log_ll + log_kk) / m  # -inf when L or K is rank deficient
+    if not log_w <= math.log(np.finfo(float).max):  # NaN is refused too
+        raise ValueError("the weight w = (det(L Lt) det(Kt K))^(1/m) is not "
+                         "finite")
+    w = math.exp(log_w)
 
     def at(d: float) -> InfimumBound:
+        if d <= 0:
+            raise ValueError("distortion d must be positive")
         arg = a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d
         if arg == 0.0:  # a = 0 and no priced noise: the bound is vacuous
             return InfimumBound(nats=-math.inf, converged=True)
@@ -418,9 +387,9 @@ def _lowrank(plant: LinearPlant, control: ControlRiccati, src: _Source):
 
     @functools.cache
     def slb():
-        return _slb_lowrank(plant.A, _weighted_gain_rows(control),
-                            plant.A @ src.gain, src.z.covariance,
-                            src.z.entropy_power)
+        return causal_slb_lowrank(plant.A, _weighted_gain_rows(control),
+                                  plant.A @ src.gain, src.z.covariance,
+                                  src.z.entropy_power)
 
     def at(b: float) -> InfimumBound:
         slack = _require_feasible(b, src.bmin)

@@ -1,12 +1,13 @@
-"""Term-by-term oracle for bit-for-bit checks of ``ratecost.bounds._slb_lowrank``.
+"""Term-by-term oracle for bit-for-bit checks of ``ratecost.bounds.causal_slb_lowrank``.
 
 ``slb_lowrank`` forms each power A^i, its product L A^i K and that
-product's SVD one term at a time, and stops at the first power that is not
-finite or at the first ill-conditioned product past the first.  The
-library forms every finite power first and takes all singular values in
-one stacked call, then truncates where this loop stops; the floating-point
-operations on each kept term are the same, so the two must agree in every
-bit, and they must raise and warn alike.
+product's SVD one term at a time.  It stops before the first power or
+product that is not finite (formed under ``np.errstate``, so with no
+warning) and at the first ill-conditioned product past the first.  The
+library forms every power and product first and takes all singular values
+in one stacked call, then truncates where this loop stops; the
+floating-point operations on each kept term are the same, so the two must
+agree in every bit, and they must raise and warn alike.
 """
 
 import math
@@ -41,15 +42,18 @@ def slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     else:
         a_limit = 0.0
 
-    log_den = _logdet(cov) + _logdet(l @ l.T) + _logdet(k.T @ k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ll, log_kk = _logdet(l @ l.T), _logdet(k.T @ k)
+    log_den = _logdet(cov) + log_ll + log_kk
     cov_half = psd_sqrt(cov)
     a_terms: list[float] = []
     a_pow = np.eye(n)
     for i in range(1, DEFAULT_I_MAX + 1):
-        a_pow = a_pow @ a
-        if not np.all(np.isfinite(a_pow)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_pow = a_pow @ a
+            mat = l @ a_pow @ k  # m x kdim
+        if not (np.all(np.isfinite(a_pow)) and np.all(np.isfinite(mat))):
             break
-        mat = l @ a_pow @ k  # m x kdim
         scale = float(np.max(np.abs(mat)))
         if scale == 0.0 or not math.isfinite(log_den):
             a_terms.append(0.0)
@@ -62,7 +66,7 @@ def slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
         log_num = 2.0 * (m * math.log(scale) + float(np.sum(np.log(svals))))
         a_terms.append(math.exp((log_num - log_den) / (2.0 * i * m)))
     if not a_terms:
-        raise ValueError("dynamics matrix powers overflowed before the first term")
+        raise ValueError("the first term L A K is not finite")
     a_inf = min(min(a_terms), a_limit)
     tail_stable = (len(a_terms) >= 2
                    and abs(a_terms[-1] - a_terms[-2])
@@ -70,10 +74,15 @@ def slb_lowrank(a_mat, l_mat, k_mat, noise_cov, entropy_power: float):
     at_limit = abs(a_terms[-1] - a_limit) <= 1e-6 * max(1.0, a_limit)
     converged = tail_stable or at_limit
 
-    log_w = (_logdet(l @ l.T) + _logdet(k.T @ k)) / m
+    log_w = (log_ll + log_kk) / m
+    if math.isnan(log_w) or log_w > math.log(np.finfo(float).max):
+        raise ValueError("the weight w = (det(L Lt) det(Kt K))^(1/m) is not "
+                         "finite")
     w = math.exp(log_w) if math.isfinite(log_w) else 0.0
 
     def at(d: float) -> InfimumBound:
+        if d <= 0:
+            raise ValueError("distortion d must be positive")
         arg = a_inf ** 2 + w * entropy_power ** (kdim / m) * m / d
         if arg == 0.0:  # a = 0 and no priced noise: the bound is vacuous
             return InfimumBound(nats=-math.inf, converged=True)

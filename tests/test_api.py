@@ -1,6 +1,6 @@
 """The package's public names: __all__, the imports of __init__ and the
 README library sketch agree, and the sketch runs; so do the README config
-schema and the keys the parser accepts."""
+schema and the keys the parser accepts.  Every export is used."""
 
 import ast
 import importlib
@@ -13,7 +13,9 @@ import ratecost
 from ratecost import cli
 
 INIT = Path(ratecost.__file__)
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_all_names_exist():
@@ -69,3 +71,36 @@ def test_readme_config_schema_matches_the_parser():
     schema = json.loads(block.group(1))
     assert set(schema) == cli._KNOWN_KEYS
     assert set(schema["plant"]) == cli._PLANT_KEYS
+
+
+def _traced_names() -> set[str]:
+    """The functions and classes that perfbench/tracing.py TARGETS patches."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in node.targets))
+    names = set()
+    for owners, attr in ast.literal_eval(targets).values():
+        names.add(attr)
+        names.update(owner.partition(":")[2] for owner in owners)
+    return names - {""}
+
+
+def test_every_export_is_used_or_traced():
+    """Each public name is used inside the package, outside __init__, or is
+    patched by the benchmark tracer; an export neither uses is dead API.
+
+    The exports held only by the tracer's TARGETS are the six
+    lower_bound_*, entropy_cost_upper and DpcmCodec: once the tracer stops
+    pinning them (ROADMAP item 2) they are the deletions of item 3."""
+    used = set()
+    for path in INIT.parent.glob("*.py"):
+        if path != INIT:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = sorted(set(ratecost.__all__) - used - _traced_names())
+    assert unused == [], f"exported but unused: {unused}"

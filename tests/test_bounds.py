@@ -15,7 +15,6 @@ from ratecost.bounds import (
     InfimumBound,
     alpha_n,
     bound_curve,
-    causal_slb,
     causal_slb_lowrank,
     entropy_cost_upper,
     lower_bound_full,
@@ -37,7 +36,6 @@ from ratecost.sysmodel import LinearPlant, NoiseModel
 # Frozen oracles (sympy/mpmath, 20 digits):
 ALPHA_1 = 0.7257913526447274        # 0.5 ln(2e) + ln Gamma(3/2)
 RHO_2 = 1.0996361107912677
-CAUSAL_SLB_EX = 0.8047189562170050  # 0.5 ln 5
 FULL_AT_BMIN_PLUS_1 = 1.4370140156042802
 PARTIAL_AT_BMIN_PLUS_1 = 1.9657040842084052
 
@@ -95,19 +93,6 @@ class TestLatticeConstants:
 
 
 class TestCausalSlb:
-    def test_frozen_example(self):
-        assert math.isclose(causal_slb(2.0, 1.0, 1.0, 1, 1.0), CAUSAL_SLB_EX,
-                            rel_tol=1e-12)
-
-    def test_rejects_nonpositive_distortion(self):
-        with pytest.raises(ValueError):
-            causal_slb(2.0, 1.0, 1.0, 1, 0.0)
-
-    def test_no_retained_modes_need_no_rate(self):
-        assert causal_slb(1.3, 0.7, 0.9, 0, 2.0) == 0.0
-        with pytest.raises(ValueError):
-            causal_slb(1.3, 0.7, 0.9, 0, 0.0)
-
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2)])
     def test_lowrank_square_reduction(self, n, seed):
         # k = m = n: the determinant-ratio bound collapses to the plain SLB
@@ -120,18 +105,67 @@ class TestCausalSlb:
         cov = g @ g.T + 0.5 * np.eye(n)
         d = 1.7
         ep_inner = float(np.linalg.det(cov)) ** (1.0 / n)
-        res = causal_slb_lowrank(a, l, k, cov, ep_inner, d)
+        res = causal_slb_lowrank(a, l, k, cov, ep_inner)(d)
         a_plain = abs(np.linalg.det(a)) ** (1.0 / n)
         w_plain = float(np.linalg.det(l.T @ l)) ** (1.0 / n)
         ep_outer = float(np.linalg.det(k @ cov @ k.T)) ** (1.0 / n)
-        want = causal_slb(a_plain, w_plain, ep_outer, n, d)
+        want = 0.5 * n * math.log(a_plain ** 2 + w_plain * ep_outer * n / d)
         assert math.isclose(res.nats, want, rel_tol=1e-9)
         assert res.converged
 
     def test_lowrank_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             causal_slb_lowrank(np.eye(2), np.ones((2, 2)), np.ones((2, 1)),
-                               np.eye(1), 1.0, 1.0)
+                               np.eye(1), 1.0)
+
+    def test_lowrank_rejects_nonpositive_distortion(self):
+        at = causal_slb_lowrank(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
+                                1.0)
+        for d in (0.0, -1.0):
+            with pytest.raises(ValueError, match="distortion"):
+                at(d)
+
+    @pytest.mark.parametrize("case", [
+        (np.diag([0.9, 0.5]), [[1e150, 0.0]], [[1e150], [0.0]], [[1.0]]),
+        (np.diag([1e3, 0.9]), [[1e150, 1e-3]], [[1e150], [1.0]], [[1.0]]),
+        (np.diag([0.9, 0.5]), [[1e300, 0.0]], [[1.0], [0.0]], [[1.0]]),
+    ])
+    def test_lowrank_refuses_an_overflowing_weight(self, case):
+        # det(L Lt) det(Kt K) is about 1e600, past the float range; in the
+        # last case L Lt itself overflows, with no warning (the suite would
+        # turn one into an error)
+        with pytest.raises(ValueError, match="weight w"):
+            causal_slb_lowrank(*case, 1.0)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       log_d=st.floats(-3.0, 3.0))
+def test_square_lowrank_is_the_plain_slb(n, seed, log_d):
+    """m = kdim = n: every term of the infimum is |det A|^(1/n), so the
+    bound is the plain SLB with w = det(L'L)^(1/n) and the entropy power
+    det(K Cov K')^(1/n), and it is converged.
+
+    Draw rule: each of A, L and K is a random orthogonal matrix (QR of a
+    standard normal one) times a diagonal of singular values uniform in
+    [0.5, 2], and Cov = U diag(s) U' with U orthogonal and s uniform in
+    [0.5, 2]; every condition number is at most 4.  d = 10^log_d."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return q, rng.uniform(0.5, 2.0, n)
+
+    (qa, sa), (ql, sl), (qk, sk), (u, s) = draw(), draw(), draw(), draw()
+    a, l, k = qa * sa, ql * sl, qk * sk
+    cov = (u * s) @ u.T
+    d = 10.0 ** log_d
+    res = causal_slb_lowrank(a, l, k, cov, float(np.prod(s)) ** (1.0 / n))(d)
+    a_plain = float(np.prod(sa)) ** (1.0 / n)
+    w_plain = float(np.prod(sl)) ** (2.0 / n)
+    ep_outer = float(np.prod(sk) ** 2 * np.prod(s)) ** (1.0 / n)
+    want = 0.5 * n * math.log(a_plain ** 2 + w_plain * ep_outer * n / d)
+    assert math.isclose(res.nats, want, rel_tol=1e-9)
+    assert res.converged
 
 
 class TestUnstableFloor:
@@ -165,7 +199,7 @@ class TestFullLowerBound:
         a = abs(plant.A[0, 0])
         w = (plant.A.T @ ctrl.M @ plant.A)[0, 0]
         for b in np.linspace(bmin + 1e-3, bmin + 50.0, 50):
-            want = causal_slb(a, w, 1.0, 1, b - bmin)
+            want = 0.5 * math.log(a * a + w * 1.0 / (b - bmin))
             assert math.isclose(lower_bound_full(plant, ctrl, b), want,
                                 abs_tol=1e-9)
 
@@ -553,34 +587,39 @@ def lowrank_inputs(draw):
 # singular Cov: log_den is -inf and every term is 0.0, with no SVD
 @example((np.array([[1.2, 0.3], [0.0, 0.7]]), [[1.0, 0.0]], np.eye(2),
           np.ones((2, 2))))
-# A^52 overflows (m = 1, so no break): one "overflow encountered in matmul"
+# A^52 overflows (m = 1, so no break): the terms end before it, no warning
 @example((np.diag([1e6, 0.5]), [[1.0, 1.0]], np.eye(2), np.eye(2)))
+# ... and against a zero column of L, whose 0 * inf makes the product NaN
+@example((np.diag([1e6, 0.5]), [[0.0, 1.0]], np.eye(2), np.eye(2)))
 # the 1e-5 break at i = 2; A^52 overflows after it, with no warning
 @example((np.diag([1e6, 0.5]), np.eye(2), np.eye(2), np.eye(2)))
 @example((np.diag([1e3, 0.5]), np.eye(2), np.eye(2), np.eye(2)))
 # L A^3 K overflows after the break at i = 2: never priced, no warning
 @example((np.diag([1e3, 0.5]), np.diag([1e150, 1.0]), np.diag([1e150, 1.0]),
           np.eye(2)))
-# L A^3 K overflows before any break: the same warnings, then the SVD of
-# NaN fails with the same LinAlgError
+# L A^19 K overflows before any break (m = 1) while A^19 is finite: the
+# bound over terms 1..18, with no warning
+@example((np.diag([1e10, 0.9]), [[1e60, 1e-3]], [[1e60], [1.0]], [[1.0]]))
+# L A^3 K overflows, and det(L Lt) det(Kt K) is about 1e600: w is refused
 @example((np.diag([1e3, 0.9]), [[1e150, 1e-3]], [[1e150], [1.0]], [[1.0]]))
-# L A K overflows at every odd power only: the first one fails, as before
+# L A K overflows (at every odd power): the first term is refused
 @example((np.array([[0.0, 1e200], [1e-200, 0.0]]), [[1e150, 0.0]],
           [[1.0], [1.0]], [[1.0]]))
-# ... and with a singular Cov every overflowing product still warns
+# ... and so it is with a singular Cov, where no term is priced
+@example((np.diag([1e10, 0.5]), [[1e300, 0.0]], np.eye(2), np.ones((2, 2))))
+# with a singular Cov the terms still end before L A^3 K, with no warning
 @example((np.diag([1e3, 0.9]), [[1e150, 1e-3]], [[1e150, 0.0], [1.0, 0.0]],
           np.eye(2)))
 # a zero singular value in the first term: "divide by zero encountered in log"
 @example((np.diag([1.0, 0.0]), np.eye(2), np.eye(2), np.eye(2)))
-# a non-finite A: eigvals refuses it first, so the "powers overflowed before
-# the first term" error is unreachable; both raise the same LinAlgError
+# a non-finite A: eigvals refuses it before any term, with a LinAlgError
 @example((np.array([[np.inf, 0.0], [0.0, 1.0]]), [[1.0, 0.0]], np.eye(2),
           np.eye(2)))
 def test_lowrank_terms_match_the_term_loop(case):
     """The stacked low-rank infimum equals the term-by-term loop bit for bit,
     and raises and warns as it does, on every branch of that loop."""
     a, l, k, cov = (np.asarray(x, dtype=float) for x in case)
-    assert (_lowrank_outcome(bounds._slb_lowrank, a, l, k, cov)
+    assert (_lowrank_outcome(causal_slb_lowrank, a, l, k, cov)
             == _lowrank_outcome(slb_lowrank, a, l, k, cov))
 
 
