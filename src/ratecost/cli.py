@@ -532,11 +532,11 @@ def cmd_validate(cfg: ExperimentConfig, args) -> int:
     ]
     if report.ok:  # the Riccati solves need a structurally sound plant
         ctrl, filt, bmin = solve_plant(cfg.plant)
-        rows.append(["control_iterations", str(ctrl.iterations)])
-        rows.append(["control_residual", _fmt(ctrl.residual)])
-        if filt is not None:
-            rows.append(["filter_iterations", str(filt.iterations)])
-            rows.append(["filter_residual", _fmt(filt.residual)])
+        for name, sol in (("control", ctrl), ("filter", filt)):
+            if sol is not None:
+                rows += [[f"{name}_iterations", str(sol.iterations)],
+                         [f"{name}_residual", _fmt(sol.residual)],
+                         [f"{name}_pseudo_inverse", _fmt(sol.pseudo_inverse_used)]]
         rows.append(["b_min", _fmt(bmin)])
     rows.append(["unstable_floor_nats", _fmt(bnd.unstable_floor(cfg.plant.A))])
     n = cfg.plant.n

@@ -2,31 +2,28 @@
 
 Both solvers run one plain value iteration, ``_value_iterate``: the filter
 Riccati equation is the control equation on the dual plant
-(A^T, C^T, Sigma_V, Sigma_W).  The iteration stops when the Frobenius change
-of the iterate drops below max(ABS_TOL * min(1, ||X||_F), REL_TOL * ||X||_F),
-or is exactly zero, so the rule does not depend on the scale of the plant's
-costs or noise, nor do its norms; a non-finite iterate is a failure, not
-a fixed point.  ``solve_plant`` decides which equations a plant needs.
+(A^T, C^T, Sigma_V, Sigma_W).  It stops once a step moves the iterate by
+at most ``_tolerance(A)`` ||X||_F, so costs or noise scaled by a power of 4
+scale the solution bit for bit; a non-finite iterate is a failure.
+``solve_plant`` decides which equations a plant needs.
 
 The value iteration starts from ``_doubling``, the structure-preserving
 doubling algorithm (Chu, Fan & Lin 2005).  Its k-th triple (A_k, G_k, H_k)
 represents 2^k value steps, X -> H_k + A_k^T X (I + G_k X)^{-1} A_k, so
 H_k is the value iterate 2^k steps from X = 0: the same finite-horizon
-values in about log2 as many steps.  The pass stops at the first H_K that
-meets the same rule and hands on the value iterate 2^K steps from the
-plain start Q (Sigma_X1): a point on the plain recursion's own trajectory,
-not H_K, because where Sigma_V leaves an unstable mode unexcited the limit
-depends on the start (X = 0 would stay at the fixed point 0 there).  The
-value iteration then polishes and checks the fixed point.  Past
-MAX_DOUBLINGS = 19 doublings (2^19 value steps, more than MAX_ITER) the
-solve raises RiccatiError: a mode at |lambda| = 1 that the input or the
-observation cannot reach grows the iterate linearly, and would otherwise
-meet the relative stop once the iterate is large enough.  When R (Sigma_W
-for the filter) has no Cholesky factor, or a doubled iterate or the start
-is not finite, the value iteration starts from Q (Sigma_X1) instead.  The
-doubling only skips ahead along the finite-horizon recursion whose limit
-defines every quantity the bounds use, and the plain recursion has the
-last word, which keeps the fixed point easy to audit.
+values in about log2 as many steps.  H_{k+1} adds a PSD term to H_k, with
+no difference that cancels, so the pass stops at the first H_K that moves
+by at most REL_TOL ||H_K||_F.  It hands on the value iterate 2^K steps from
+the plain start Q (Sigma_X1): a point on the plain recursion's own
+trajectory, not H_K, because where Sigma_V leaves an unstable mode
+unexcited the limit depends on the start (X = 0 would stay at the fixed
+point 0 there).  Past MAX_DOUBLINGS = 19 doublings (2^19 value steps, more
+than MAX_ITER) the solve raises RiccatiError: a mode at |lambda| = 1 that
+the input or the observation cannot reach grows the iterate linearly, and
+would otherwise meet the relative stop once the iterate is large enough.
+When R (Sigma_W for the filter) has no Cholesky factor, or a doubled
+iterate or the start is not finite, the value iteration starts from Q
+(Sigma_X1) instead.  Either way the value iteration has the last word.
 """
 
 from __future__ import annotations
@@ -38,11 +35,6 @@ import numpy as np
 
 from .sysmodel import LinearPlant
 
-# REL_TOL takes over from ABS_TOL above ||X||_F = 100, where the rounding
-# noise of an iterate can exceed the absolute floor for ever; below
-# ||X||_F = 1 the floor shrinks with the iterate, so a small plant does not
-# stop at once.
-ABS_TOL = 1e-12
 REL_TOL = 1e-14
 MAX_ITER = 100_000
 # A doubling tests X_{2^k} - X_{2^(k-1)}, the sum of 2^(k-1) value steps,
@@ -50,6 +42,9 @@ MAX_ITER = 100_000
 # 2^18 > 2.6 MAX_ITER steps: the scalar plant a = 1, b = 1.25e-4, whose
 # value iteration from Q settles in 98,563 steps, needs k = 19.
 MAX_DOUBLINGS = 19
+# ``_tolerance`` refuses a floor above this (||A||_F > 3355): S and P keep
+# 8 digits, and a linearly growing iterate's 1/k steps never meet it.
+MAX_FLOOR = 1e-8
 
 
 class RiccatiError(RuntimeError):
@@ -132,10 +127,16 @@ def _step(a, b, q, r, x):
     return _sym(q + a.T @ (x - m) @ a), m, l_gain, gain_cost, pinv
 
 
-def _settled(delta: float, size: float) -> bool:
-    """The stop rule on a change of Frobenius norm delta to an iterate of
-    norm size."""
-    return delta < max(ABS_TOL * min(1.0, size), REL_TOL * size) or delta == 0.0
+def _tolerance(a: np.ndarray) -> float:
+    """max(REL_TOL, 8u ||A||_F^2), u = 2^-53: near the fixed point ``_step``'s
+    X - M(X) cancels (0 <= M <= X) and rounds by up to 2u ||X||, M by about
+    as much, and A^T (.) A scales that by up to ||A||_F^2; 8 doubles the 4u
+    for the rest of the step.  A floor past MAX_FLOOR raises RiccatiError."""
+    norm = _fro(a)
+    floor = 2.0 ** -50 * norm * norm
+    if floor > MAX_FLOOR:
+        raise RiccatiError(f"Riccati value step rounds by {floor:.3g} at ||A||_F = {norm:.6g}")
+    return max(REL_TOL, floor)
 
 
 def _doubled_iterates(a, b, q, r):
@@ -163,10 +164,9 @@ def _doubled_iterates(a, b, q, r):
 
 def _doubling(a, b, q, r, x0):
     """(start for _value_iterate, doublings run): the value iterate 2^K
-    steps from x0, K the first doubling whose H_K meets the stop rule; or
-    x0 when R has no Cholesky factor, a solve fails or an iterate is not
-    finite.  Raises RiccatiError when MAX_DOUBLINGS doublings do not meet
-    it."""
+    steps from x0, K the first doubling whose H_K meets REL_TOL; or x0 when
+    R has no Cholesky factor, a solve fails or an iterate is not finite.
+    Raises RiccatiError when MAX_DOUBLINGS doublings do not meet it."""
     h, k = q, 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -176,7 +176,7 @@ def _doubling(a, b, q, r, x0):
                 size = _fro(h)
                 if not math.isfinite(size):
                     return x0, k
-                if _settled(delta, size):
+                if delta <= REL_TOL * size:
                     eye = np.eye(len(a))
                     start = _sym(h + a_k.T @ x0 @ np.linalg.solve(eye + g_k @ x0, a_k))
                     return (start if math.isfinite(_fro(start)) else x0), k
@@ -198,8 +198,8 @@ def _value_iterate(
     An iterate with an infinite or NaN entry raises RiccatiError, with no
     numpy warning: an inf norm would otherwise pass the stop test.
     """
-    x = x0.copy()
-    used_pinv = False
+    tol = _tolerance(a)
+    x, used_pinv = x0, False  # x is rebound, never written in place
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITER + 1):
             x_next, *_, pinv = _step(a, b, q, r, x)
@@ -210,7 +210,7 @@ def _value_iterate(
             if not math.isfinite(size):
                 raise RiccatiError(f"Riccati value iteration diverged: the "
                                    f"iterate is not finite at iteration {it}")
-            if _settled(delta, size):
+            if delta <= tol * size:
                 return x, it, used_pinv
     raise RiccatiError(f"Riccati value iteration did not converge in {MAX_ITER} iterations")
 

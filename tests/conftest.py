@@ -14,9 +14,10 @@ settings.load_profile("ratecost")
 
 @pytest.fixture
 def large_cost_plant():
-    """A 6-state, 3-input plant at cost scale 1e3 with ||S||_F about 1.6e4:
-    an absolute stopping tolerance of 1e-12 lies below the rounding noise of
-    its Riccati iterates, so only a scale-relative stop converges."""
+    """A 6-state, 3-input plant at cost scale 1e3 with ||S||_F about 1.6e4.
+    Its Riccati iterates round by more than 1e-12 absolute, so only a
+    relative stop converges, and ||A||_F^2 = 14.5 lifts the value step's
+    rounding floor 8 u ||A||_F^2 = 1.3e-14 above REL_TOL."""
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 6))
     a *= 1.2 / np.abs(np.linalg.eigvals(a)).max()

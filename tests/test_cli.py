@@ -245,6 +245,32 @@ class TestBoundCommand:
         assert infeasible["nats"] == "nan"
         assert infeasible["note"].startswith("infeasible (b <= b_min=")
 
+    def test_steep_scalar_plant_solves_at_once(self, tmp_path, capsys):
+        # a = 12: one value step moves the exact fixed point by its own
+        # rounding, 3.1e-14 relative, which the old stop rule took for
+        # progress until it exited 1 after 100,000 steps (about 4 s)
+        raw = base_config(bounds=["full"], b_grid=[1e4])
+        raw["plant"]["a"] = [[12.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["bound", "--config", str(path)]) == 0
+        # the closed form (144 + sqrt(144^2 + 4))/2 = 144.00694410957877
+        assert "b_min = 144.0069441\n" in capsys.readouterr().out
+        assert solve_control(config_from_dict(raw).plant).iterations < 10
+
+    def test_plant_past_the_rounding_floor_fails(self, tmp_path, capsys):
+        # a = 3e7: a value step rounds by 8 u a^2 = 0.8 relative, so its
+        # fixed point is not known to one digit; the solve refuses it
+        # rather than hand on an S 12% off the closed form
+        raw = base_config(bounds=["full"], b_grid=[1e16])
+        raw["plant"]["a"] = [[3e7]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["bound", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hard assert failed: Riccati value step rounds")
+        assert "||A||_F = 3e+07" in err
+
     def test_error_carries_instance_context(self, tmp_path, capsys):
         raw = base_config(bounds=["upper"], b_grid=[6.0])
         raw["plant"]["noise_v"]["family"] = "uniform"
@@ -556,6 +582,27 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "b_min" in out
         assert "4.2360679775" in out
+        assert "control_pseudo_inverse  false\n" in out
+        assert "filter_pseudo_inverse" not in out
+
+    def test_pseudo_inverse_rows(self, tmp_path, capsys):
+        # C = [1, 0; 1, 0] with Sigma_W = 0 makes C P C^T + Sigma_W
+        # singular, so the filter solve takes the pseudo-inverse
+        raw = base_config()
+        raw["plant"].update({
+            "a": [[0.9, 1.0], [0.0, 0.5]], "b": [[1.0], [1.0]],
+            "q": np.eye(2).tolist(), "c": [[1.0, 0.0], [1.0, 0.0]],
+            "noise_v": {"family": "gaussian", "covariance": np.eye(2).tolist()},
+            "noise_w": {"family": "gaussian",
+                        "covariance": np.zeros((2, 2)).tolist()},
+        })
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 0
+        rows = dict(line.split(maxsplit=1)
+                    for line in capsys.readouterr().out.splitlines())
+        assert rows["control_pseudo_inverse"] == "false"
+        assert rows["filter_pseudo_inverse"] == "true"
 
     def test_uncontrollable_plant_fails(self, tmp_path, capsys):
         raw = base_config()

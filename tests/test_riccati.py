@@ -320,6 +320,53 @@ class TestScaleInvariance:
                 assert (np.linalg.norm(p_small - filt.P)
                         <= 1e-9 * np.linalg.norm(filt.P))
 
+    @given(st.floats(1.01, 1000.0), st.booleans(), st.integers(-30, 30))
+    def test_scalar_closed_form_at_any_cost_scale(self, a, negative, j):
+        # B = V = 1, Q = R = 4^j: S = 4^j (a^2 + sqrt(a^4 + 4))/2.  The solve
+        # ends on a value step that moved S by at most the rounding floor
+        # 8 u a^2 of _tolerance, and the closed loop a / (1 + S/4^j) < 1/a
+        # shrinks the error before that step by a^2, so S lies within one
+        # floor of the fixed point: K = 8.  A stop rule without that floor
+        # raised after MAX_ITER value steps on the draw a = 26, j = 0.
+        a = -a if negative else a
+        s = 4.0 ** j
+        exact = s * (a * a + math.sqrt(a ** 4 + 4.0)) / 2.0
+        plant = gaussian_plant([[a]], [[1.0]], [[s]], [[s]], [[1.0]])
+        err = abs(solve_control(plant).S[0, 0] - exact) / exact
+        assert err <= 8 * 2.0 ** -53 * a * a
+
+    @pytest.mark.parametrize("a", [3356.0, -3e7, 1e10])
+    def test_plant_past_the_rounding_floor_is_refused(self, a):
+        # 8 u a^2 passes MAX_FLOOR = 1e-8 just below a = 3356; with no bound
+        # the solve returned S 12% and 50% off the closed form at 3e7 and
+        # 1e10, and exited 0
+        plant = gaussian_plant([[a]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(RiccatiError, match=r"at \|\|A\|\|_F = "):
+            solve_control(plant)
+
+    @given(random_plants(max_n=4), st.sampled_from([-12, -3, 3, 12]))
+    def test_power_of_4_scaling_is_exact(self, plant, j):
+        # A power of 4 passes exactly through every operation of a solve
+        # (a Cholesky factor and a Frobenius norm take 2^j) and the stop rule
+        # is relative, so the scaled solve takes the same steps bit for bit.
+        # A stop rule with an absolute part took 7 control iterations against
+        # 6 on an n = 2, m = 1 fully observed draw at j = 3.
+        s = 4.0 ** j
+        ctrl = solve_control(plant)
+        scaled = solve_control(LinearPlant(plant.A, plant.B, s * plant.Q,
+                                           s * plant.R, plant.noise_v))
+        assert np.array_equal(scaled.S, s * ctrl.S)
+        assert scaled.iterations == ctrl.iterations
+        if not plant.fully_observed:
+            filt = solve_filter(plant)
+            scaled = solve_filter(LinearPlant(
+                plant.A, plant.B, plant.Q, plant.R,
+                NoiseModel("gaussian", s * plant.noise_v.covariance),
+                c=plant.C, noise_w=NoiseModel("gaussian", s * plant.obs_cov),
+                noise_x1=NoiseModel("gaussian", s * plant.noise_x1.covariance)))
+            assert np.array_equal(scaled.P, s * filt.P)
+            assert scaled.iterations == filt.iterations
+
     @pytest.mark.parametrize("s", [1e-160, 1e155])
     def test_scalar_solution_where_squares_leave_the_double_range(self, s):
         # The stop test's norms used to underflow at 1e-160 (a stop after
